@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import constructions, encoding, levels, setsystem
 
@@ -21,23 +20,6 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass(frozen=True)
-class Config:
-    cache_dir: str | None
-    max_n: int
-    threads: int
-    seed: int
-    output_format: str
-
-    def __post_init__(self) -> None:
-        if self.max_n > setsystem.MAX_GROUND_SIZE:
-            raise ValueError(f"max_n {self.max_n} exceeds {setsystem.MAX_GROUND_SIZE}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.output_format not in ("text", "json"):
-            raise ValueError(f"unknown output format {self.output_format}")
 
 
 def _resolve_cache_dir(flag_value: str | None) -> str | None:
@@ -51,14 +33,9 @@ def _emit(text: str, out_path: str | None) -> None:
         setsystem.atomic_write_text(out_path, text)
 
 
-def _config_from_args(args: argparse.Namespace) -> Config:
-    return Config(
-        cache_dir=_resolve_cache_dir(getattr(args, "cache_dir", None)),
-        max_n=getattr(args, "max_n", 5),
-        threads=getattr(args, "threads", 1),
-        seed=getattr(args, "seed", 0),
-        output_format=getattr(args, "format", "text"),
-    )
+def _check_max_n(max_n: int) -> None:
+    if max_n > setsystem.MAX_GROUND_SIZE:
+        raise ValueError(f"max_n {max_n} exceeds {setsystem.MAX_GROUND_SIZE}")
 
 
 # --- subcommand implementations -----------------------------------------------
@@ -99,35 +76,29 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_PASS if verdict else EXIT_VIOLATION
 
 
-def _level_store(config: Config, n_max: int) -> dict[int, levels.LevelCache]:
-    return levels.build_levels(
-        min(n_max, levels.MAX_LISTED_LEVEL),
-        cache_dir=config.cache_dir,
-        threads=config.threads,
-    )
-
-
 def cmd_count(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
-    store = _level_store(config, args.max_n)
-    progress = None
-    if args.allow_n6 and args.max_n > levels.MAX_LISTED_LEVEL and args.verbose:
-        def progress(done: int, total: int) -> None:
-            if done % 50 == 0 or done == total:
-                print(f"classes {done}/{total}", file=sys.stderr)
+    _check_max_n(args.max_n)
+    if args.threads < 1:
+        raise ValueError("threads must be >= 1")
+    levels.check_count_limits(args.max_n, args.allow_n6)
+    store = levels.build_levels(
+        min(args.max_n, levels.MAX_LISTED_LEVEL),
+        cache_dir=_resolve_cache_dir(args.cache_dir),
+    )
     d6 = None
     if args.max_n > levels.MAX_LISTED_LEVEL:
-        if not args.allow_n6:
-            raise levels.ResourceLimitError(
-                "level 6 counting requires --allow-n6 (long-running)"
-            )
+        progress = None
+        if args.verbose:
+            def progress(done: int, total: int) -> None:
+                if done % 50 == 0 or done == total:
+                    print(f"classes {done}/{total}", file=sys.stderr)
         d6 = levels.count_next_level_via_classes(
-            store[5], threads=config.threads, progress=progress
+            store[5], threads=args.threads, progress=progress
         )
     reports = levels.count_report(
         args.max_n, store, with_even=args.with_even, allow_n6=args.allow_n6, d6=d6
     )
-    if config.output_format == "json":
+    if args.format == "json":
         doc = {
             "levels": [
                 {"n": r.n, "d": r.d, "gamma": r.gamma}
@@ -151,14 +122,14 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_count_even(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    _check_max_n(args.max_n)
     if args.max_n > levels.MAX_LISTED_LEVEL:
         raise levels.ResourceLimitError(
             f"even counts go up to level {levels.MAX_LISTED_LEVEL}"
         )
-    store = _level_store(config, args.max_n)
+    store = levels.build_levels(args.max_n, cache_dir=_resolve_cache_dir(args.cache_dir))
     rows = [(n, levels.count_even(store[n])) for n in range(1, args.max_n + 1)]
-    if config.output_format == "json":
+    if args.format == "json":
         doc = {"levels": [{"n": n, "e": e} for n, e in rows]}
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", None)
     else:
@@ -294,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--cache-dir", default=None, help="level cache directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="threads for the level-6 class count")
     parser.add_argument("--verbose", action="store_true", help="progress on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 

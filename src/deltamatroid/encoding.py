@@ -21,9 +21,8 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .setsystem import (
+    MAX_GROUND_SIZE,
     ImproperSystemError,
     SetSystem,
     SystemFormatError,
@@ -110,37 +109,6 @@ def halved_cube(n: int, parity: Parity = Parity.EVEN) -> RegularGraph:
     return RegularGraph(vertices, adjacency)
 
 
-def cube_adjacency_matrix(n: int) -> np.ndarray:
-    """Adjacency matrix of the n-cube on all 2^n masks (exact integers)."""
-    size = 1 << n
-    masks = np.arange(size, dtype=np.uint32)
-    xors = masks[:, None] ^ masks[None, :]
-    pop = np.zeros(size, dtype=np.uint8)
-    for i in range(n):
-        pop += ((masks >> i) & 1).astype(np.uint8)
-    dist = pop[xors]
-    return (dist == 1).astype(np.int64)
-
-
-def distance_two_matrix_identity(n: int) -> bool:
-    """Exact check that the distance-2 adjacency matrix equals
-    (A(Q_n)^2 - n*I)/2, which encodes that any two cube vertices at
-    distance two have exactly two common neighbours."""
-    if not 2 <= n <= 8:
-        raise EncodingError("dense matrix identity limited to 2 <= n <= 8")
-    size = 1 << n
-    a = cube_adjacency_matrix(n)
-    masks = np.arange(size, dtype=np.uint32)
-    xors = masks[:, None] ^ masks[None, :]
-    pop = np.zeros(size, dtype=np.uint8)
-    for i in range(n):
-        pop += ((masks >> i) & 1).astype(np.uint8)
-    r = (pop[xors] == 2).astype(np.int64)
-    lhs = 2 * r
-    rhs = a @ a - n * np.eye(size, dtype=np.int64)
-    return bool(np.array_equal(lhs, rhs))
-
-
 def halved_cube_spectrum(n: int) -> list[int]:
     """Eigenvalues (lambda^2 - n)/2 for lambda = -n, -n+2, ..., n."""
     if n < 2:
@@ -162,16 +130,9 @@ def eigenvalue_gap(n: int) -> Fraction:
 # --- the peeling procedure -----------------------------------------------------
 
 @dataclass(frozen=True)
-class KWStep:
-    mask: int
-    taken: bool
-
-
-@dataclass(frozen=True)
 class KWResult:
     s: tuple[int, ...]
     a: tuple[int, ...]
-    trace: tuple[KWStep, ...]
 
 
 def _peel(
@@ -199,7 +160,6 @@ def _peel(
     survivors = count
     threshold = alpha * count
     s: list[int] = []
-    trace: list[KWStep] = []
 
     def remove(idx: int) -> None:
         nonlocal survivors
@@ -223,20 +183,18 @@ def _peel(
                         f"replay selects {mask} out of order"
                     )
             s.append(mask)
-            trace.append(KWStep(mask, True))
             neighbours = [nb for nb in graph.adjacency[best] if alive[nb]]
             remove(best)
             for nb in neighbours:
                 remove(nb)
         else:
-            trace.append(KWStep(mask, False))
             remove(best)
     if expected_s is not None and len(s) != len(expected_s):
         raise InconsistentPrefixError(
             "replay finished without selecting all claimed vertices"
         )
     a = tuple(graph.vertices[i] for i in range(count) if alive[i])
-    return KWResult(tuple(s), a, tuple(trace))
+    return KWResult(tuple(s), a)
 
 
 def kw_encode(graph: RegularGraph, l_set, alpha: Fraction) -> KWResult:
@@ -495,8 +453,12 @@ def record_to_dict(record: EncodingRecord) -> dict:
 def record_from_dict(doc: object) -> EncodingRecord:
     if not isinstance(doc, dict):
         raise SystemFormatError("record document must be an object")
+    n = doc.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= MAX_GROUND_SIZE:
+        raise SystemFormatError(
+            f"field 'n' must be an integer in 2..{MAX_GROUND_SIZE}, got {n!r}"
+        )
     try:
-        n = doc["n"]
         parity = Parity(doc["parity"])
         alpha = Fraction(doc["alpha"])
         sigma = Fraction(doc["sigma"])
@@ -508,8 +470,6 @@ def record_from_dict(doc: object) -> EncodingRecord:
         residual = tuple(int(m) for m in doc["residual"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemFormatError(f"bad record document: {exc}") from None
-    if not isinstance(n, int) or n < 2:
-        raise SystemFormatError("record needs an integer n >= 2")
     return EncodingRecord(n, parity, alpha, sigma, s, covers, residual)
 
 

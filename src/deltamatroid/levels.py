@@ -15,9 +15,9 @@ ascending, and can be persisted in a small binary format (see LevelCache).
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -29,7 +29,6 @@ from .setsystem import (
     SetSystem,
     atomic_write_bytes,
     check_symmetric_exchange,
-    is_even,
     minor,
     popcount,
 )
@@ -37,7 +36,7 @@ from .setsystem import (
 MAX_LISTED_LEVEL = 5
 MAX_COUNTED_LEVEL = 6
 
-_DTYPES = {0: "<u1", 1: "<u1", 2: "<u1", 3: "<u1", 4: "<u2", 5: "<u4", 6: "<u8"}
+_DTYPES = {0: "<u1", 1: "<u1", 2: "<u1", 3: "<u1", 4: "<u2", 5: "<u4"}
 
 
 class ResourceLimitError(RuntimeError):
@@ -57,7 +56,7 @@ def _dtype_for(n: int) -> np.dtype:
         return np.dtype(_DTYPES[n])
     except KeyError:
         raise ResourceLimitError(
-            f"level caches support n <= {MAX_COUNTED_LEVEL}, got {n}"
+            f"level caches support n <= {MAX_LISTED_LEVEL}, got {n}"
         ) from None
 
 
@@ -123,6 +122,8 @@ class LevelCache:
         version, n = data[4], data[5]
         if version != cls.VERSION:
             raise CacheFormatError(f"{path}: unsupported version {version}")
+        if n > MAX_LISTED_LEVEL:
+            raise CacheFormatError(f"{path}: unknown level {n}")
         count = int.from_bytes(data[6:14], "little")
         dtype = _dtype_for(n)
         expected = 14 + count * dtype.itemsize
@@ -159,12 +160,11 @@ def _enumerate_small(prev: LevelCache) -> LevelCache:
 
 # --- minor-membership compatibility kernel (levels >= 5) ---------------------
 
-def _minor_table(n: int, p: int, kind: MinorKind) -> np.ndarray:
-    """Lookup table: feasibility vector on {1..n} -> vector of its minor.
+def _minor_table(p: int, kind: MinorKind) -> np.ndarray:
+    """Lookup table: feasibility vector on {1..4} -> vector of its minor.
 
-    Built for n=4 only (2^16 entries); larger vectors split into halves.
+    2^16 entries; vectors on five elements are split into halves.
     """
-    assert n == 4
     v = np.arange(1 << 16, dtype=np.uint32)
     out = np.zeros(1 << 16, dtype=np.uint16)
     want = 0 if kind is MinorKind.DELETE else 1
@@ -181,7 +181,7 @@ def _tables4() -> dict[tuple[int, MinorKind], np.ndarray]:
     if not _TABLES4:
         for p in range(4):
             for kind in MinorKind:
-                _TABLES4[(p, kind)] = _minor_table(4, p, kind)
+                _TABLES4[(p, kind)] = _minor_table(p, kind)
     return _TABLES4
 
 
@@ -281,32 +281,16 @@ class _ComposeKernel:
         return self.parents[ok].astype(out_dtype) | shifted
 
 
-def _enumerate_fast(prev: LevelCache, threads: int = 1) -> LevelCache:
+def _enumerate_fast(prev: LevelCache) -> LevelCache:
     kernel = _ComposeKernel(prev)
-    n = kernel.child_n
-    dtype = _dtype_for(n)
-    total = len(kernel.parents)
-
-    def run_chunk(lo: int, hi: int) -> list[np.ndarray]:
-        return [kernel.row_vectors(i, dtype) for i in range(lo, hi)]
-
-    if threads <= 1:
-        pieces = run_chunk(0, total)
-    else:
-        bounds = np.linspace(0, total, threads * 4 + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_chunk, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            pieces = [arr for fut in futures for arr in fut.result()]
+    dtype = _dtype_for(kernel.child_n)
+    pieces = [kernel.row_vectors(i, dtype) for i in range(len(kernel.parents))]
     # parents are ascending and the first component occupies the high bits,
     # so concatenation in row order is already globally sorted
-    vectors = np.concatenate([p for p in pieces if len(p)]).astype(dtype)
-    return LevelCache(n, vectors)
+    return LevelCache(kernel.child_n, np.concatenate(pieces))
 
 
-def enumerate_level(prev: LevelCache, threads: int = 1) -> LevelCache:
+def enumerate_level(prev: LevelCache) -> LevelCache:
     """Build the complete next level from the previous one."""
     prev.validate()
     n = prev.n + 1
@@ -316,7 +300,7 @@ def enumerate_level(prev: LevelCache, threads: int = 1) -> LevelCache:
         )
     if n < 5:
         return _enumerate_small(prev)
-    return _enumerate_fast(prev, threads=threads)
+    return _enumerate_fast(prev)
 
 
 def fast_delta_matroid_check(d: SetSystem, prev: LevelCache) -> bool:
@@ -383,6 +367,14 @@ def _verify_count_invariants(reports: list[CountReport]) -> None:
             raise ValueError(f"gamma not decreasing at level {b.n}")
 
 
+def check_count_limits(n_max: int, allow_n6: bool) -> None:
+    """Refuse a count request beyond the supported levels, before any work."""
+    if n_max > MAX_COUNTED_LEVEL:
+        raise ResourceLimitError(f"counts beyond level {MAX_COUNTED_LEVEL} unsupported")
+    if n_max > MAX_LISTED_LEVEL and not allow_n6:
+        raise ResourceLimitError("level 6 counting requires the explicit opt-in flag")
+
+
 def count_report(
     n_max: int,
     levels: dict[int, LevelCache],
@@ -396,10 +388,7 @@ def count_report(
     and gated behind allow_n6; pass a precomputed d6 or it is recomputed
     from level 5 by equivalence-class counting (slow).
     """
-    if n_max > MAX_COUNTED_LEVEL:
-        raise ResourceLimitError(f"counts beyond level {MAX_COUNTED_LEVEL} unsupported")
-    if n_max > MAX_LISTED_LEVEL and not allow_n6:
-        raise ResourceLimitError("level 6 counting requires the explicit opt-in flag")
+    check_count_limits(n_max, allow_n6)
     reports = []
     for n in range(1, n_max + 1):
         if n <= MAX_LISTED_LEVEL:
@@ -425,27 +414,11 @@ def even_parity_indicator(n: int) -> int:
 
 def count_even(cache: LevelCache) -> int:
     """Number of cached systems in which all feasible sizes share a parity."""
-    if cache.n == 0:
-        return len(cache)
     ind = even_parity_indicator(cache.n)
-    dtype = cache.vectors.dtype
-    if dtype.itemsize * 8 >= (1 << cache.n):
-        ev = np.array(ind, dtype=dtype)
-        odd = np.array(ind ^ ((1 << (1 << cache.n)) - 1), dtype=dtype)
-        v = cache.vectors
-        hits = ((v & ev) == 0) | ((v & odd) == 0)
-        return int(np.count_nonzero(hits))
-    return sum(1 for s in cache.systems() if is_even(s))
-
-
-def count_even_split(cache: LevelCache) -> tuple[int, int]:
-    """(all-even-size, all-odd-size) counts among the cached systems."""
-    ind = even_parity_indicator(cache.n)
-    odd = ind ^ ((1 << (1 << cache.n)) - 1)
     v = cache.vectors
-    n_all_even = int(np.count_nonzero((v & np.array(odd, dtype=v.dtype)) == 0))
-    n_all_odd = int(np.count_nonzero((v & np.array(ind, dtype=v.dtype)) == 0))
-    return n_all_even, n_all_odd
+    ev = np.array(ind, dtype=v.dtype)
+    odd = np.array(ind ^ ((1 << (1 << cache.n)) - 1), dtype=v.dtype)
+    return int(np.count_nonzero(((v & ev) == 0) | ((v & odd) == 0)))
 
 
 # --- equivalence classes under twist and relabelling -------------------------
@@ -527,32 +500,27 @@ def count_next_level_via_classes(
 
     One compatibility row is evaluated per equivalence class representative
     and weighted by class size; the improper first component contributes one
-    full previous level.  Requires child level >= 5.
+    full previous level.  Requires child level >= 5.  With threads > 1 the
+    rows run in a thread pool (the kernel's numpy gathers release the GIL);
+    ``progress(done, total)`` is called after each row, in row order.
     """
     reps, sizes = twist_permutation_classes(prev)
     kernel = _ComposeKernel(prev)
     rep_indices = np.searchsorted(kernel.parents, reps)
 
-    def rows(lo: int, hi: int) -> int:
-        subtotal = 0
-        for k in range(lo, hi):
-            ok = kernel.row_ok(int(rep_indices[k]))
-            subtotal += int(sizes[k]) * int(np.count_nonzero(ok))
-            if progress is not None:
-                progress(k + 1, len(reps))
-        return subtotal
+    def row(k: int) -> int:
+        ok = kernel.row_ok(int(rep_indices[k]))
+        return int(sizes[k]) * int(np.count_nonzero(ok))
 
-    if threads <= 1:
-        total = rows(0, len(reps))
-    else:
-        bounds = np.linspace(0, len(reps), threads * 4 + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(rows, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            total = sum(f.result() for f in futures)
-    return total + len(prev)
+    indices = range(len(reps))
+    total = len(prev)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        rows = pool.map(row, indices) if threads > 1 else map(row, indices)
+        for done, subtotal in enumerate(rows, start=1):
+            total += subtotal
+            if progress is not None:
+                progress(done, len(reps))
+    return total
 
 
 # --- on-disk level store ------------------------------------------------------
@@ -562,9 +530,7 @@ def cache_path(cache_dir: str | os.PathLike, n: int) -> str:
 
 
 def build_levels(
-    n_max: int,
-    cache_dir: str | os.PathLike | None = None,
-    threads: int = 1,
+    n_max: int, cache_dir: str | os.PathLike | None = None
 ) -> dict[int, LevelCache]:
     """Load or compute level caches 0..n_max, persisting computed ones.
 
@@ -586,7 +552,7 @@ def build_levels(
                 except CacheFormatError:
                     cache = None
         if cache is None:
-            cache = enumerate_level(levels[n - 1], threads=threads)
+            cache = enumerate_level(levels[n - 1])
             if cache_dir is not None:
                 os.makedirs(cache_dir, exist_ok=True)
                 cache.save(cache_path(cache_dir, n))

@@ -8,9 +8,10 @@ decision procedure.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from deltamatroid import build_levels
+from deltamatroid import EncodingError, build_levels
 
 
 def mask_to_set(mask: int) -> frozenset[int]:
@@ -51,6 +52,33 @@ def oracle_level_list(n: int) -> list[int]:
         if oracle_is_delta_matroid(n, masks):
             out.append(bits)
     return out
+
+
+def cube_distances(n: int) -> np.ndarray:
+    """Hamming distance between every pair of the 2^n masks."""
+    masks = np.arange(1 << n, dtype=np.uint32)
+    pop = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        pop += ((masks >> i) & 1).astype(np.uint8)
+    return pop[masks[:, None] ^ masks[None, :]]
+
+
+def cube_adjacency_matrix(n: int) -> np.ndarray:
+    """Adjacency matrix of the n-cube on all 2^n masks (exact integers)."""
+    return (cube_distances(n) == 1).astype(np.int64)
+
+
+def distance_two_matrix_identity(n: int) -> bool:
+    """Exact check that the distance-2 adjacency matrix equals
+    (A(Q_n)^2 - n*I)/2, which encodes that any two cube vertices at
+    distance two have exactly two common neighbours."""
+    if not 2 <= n <= 8:
+        raise EncodingError("dense matrix identity limited to 2 <= n <= 8")
+    dist = cube_distances(n)
+    a = (dist == 1).astype(np.int64)
+    lhs = 2 * (dist == 2).astype(np.int64)
+    rhs = a @ a - n * np.eye(1 << n, dtype=np.int64)
+    return bool(np.array_equal(lhs, rhs))
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ from deltamatroid import (
     cover_certifies,
     cut_count_lower_bound,
     decode_even_system,
-    distance_two_matrix_identity,
     encode_even_system,
     halved_cube,
     is_delta_matroid,
@@ -40,7 +39,7 @@ from deltamatroid import (
     twist,
     upper_bound_report,
 )
-from tests.conftest import oracle_is_delta_matroid
+from tests.conftest import distance_two_matrix_identity, oracle_is_delta_matroid
 
 EXPECTED_D = {1: 3, 2: 15, 3: 155, 4: 5959, 5: 4980259}
 FROZEN_E = {3: 30, 4: 294, 5: 7966}

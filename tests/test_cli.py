@@ -17,6 +17,7 @@ from deltamatroid import (
     random_stacked_layers,
     stacked_even_delta_matroid,
 )
+from deltamatroid import levels
 from deltamatroid.cli import main
 from deltamatroid.levels import cache_path
 
@@ -87,6 +88,16 @@ class TestCount:
     def test_level6_needs_flag(self, capsys):
         assert main(["count", "--max-n", "6"]) == 3
         assert "resource limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--max-n", "6"], ["--max-n", "7", "--allow-n6"]])
+    def test_limits_refused_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
+        def class_count(*args, **kwargs):
+            raise AssertionError("level-6 class count started")
+
+        monkeypatch.setattr(levels, "count_next_level_via_classes", class_count)
+        assert main(["count", *argv]) == 3
+        assert "resource limit" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
     def test_oversized_ground_set(self, capsys):
         assert main(["count", "--max-n", "17"]) == 2
@@ -205,6 +216,13 @@ class TestEncodeDecode:
     def test_decode_rejects_bad_record(self, tmp_path, capsys):
         (tmp_path / "r.json").write_text('{"n": "nope"}')
         assert main(["decode", "--in", str(tmp_path / "r.json")]) == 2
+
+    def test_decode_rejects_oversized_ground_set(self, tmp_path, capsys):
+        record = {"n": 40, "parity": "even", "alpha": "1/41", "sigma": "1/100",
+                  "s": [], "covers": [], "residual": []}
+        (tmp_path / "r.json").write_text(json.dumps(record))
+        assert main(["decode", "--in", str(tmp_path / "r.json")]) == 2
+        assert "field 'n' must be an integer in 2..16" in capsys.readouterr().err
 
 
 class TestSpectrumAndBound:

@@ -25,9 +25,7 @@ from deltamatroid import (
     component_alpha,
     component_sigma,
     cover_certifies,
-    cube_adjacency_matrix,
     decode_even_system,
-    distance_two_matrix_identity,
     dumps_record,
     encode_even_system,
     eigenvalue_gap,
@@ -49,6 +47,7 @@ from deltamatroid import (
     twist,
     upper_bound_report,
 )
+from tests.conftest import cube_adjacency_matrix, distance_two_matrix_identity
 
 
 def popcount(x: int) -> int:
@@ -204,7 +203,8 @@ class TestPeeling:
         g = halved_cube(6)
         alpha = component_alpha(6)
         result = kw_encode(g, set(g.vertices), alpha)
-        examined = {step.mask for step in result.trace}
+        # L is every vertex, so each examined vertex was selected into S
+        examined = set(result.s)
         swallowed = next(
             v for v in g.vertices if v not in examined and v not in result.a
         )

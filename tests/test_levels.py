@@ -20,7 +20,6 @@ from deltamatroid import (
     check_symmetric_exchange,
     compose,
     count_even,
-    count_even_split,
     count_next_level_via_classes,
     count_report,
     enumerate_level,
@@ -56,10 +55,6 @@ class TestEnumeration:
     def test_listing_stops_at_level_five(self, levels5):
         with pytest.raises(ResourceLimitError):
             enumerate_level(levels5[5])
-
-    def test_thread_count_does_not_change_output(self, levels5):
-        again = enumerate_level(levels5[4], threads=3)
-        assert np.array_equal(again.vectors, levels5[5].vectors)
 
     def test_output_sorted_without_duplicates(self, levels5):
         v = levels5[5].vectors
@@ -164,6 +159,20 @@ class TestCacheFiles:
         with pytest.raises(CacheFormatError):
             LevelCache.load(path)
 
+    def test_unknown_level_byte_is_recomputed(self, levels5, tmp_path):
+        build_levels(3, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 3)
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        data[5] = 9
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(CacheFormatError):
+            LevelCache.load(path)
+        healed = build_levels(3, cache_dir=tmp_path)
+        assert np.array_equal(healed[3].vectors, levels5[3].vectors)
+        assert LevelCache.load(path).n == 3
+
     def test_build_levels_reuses_and_heals_cache(self, tmp_path):
         first = build_levels(3, cache_dir=tmp_path)
         stamp = os.path.getmtime(cache_path(tmp_path, 3))
@@ -213,8 +222,6 @@ class TestCounts:
         for n in range(1, 6):
             e = count_even(levels5[n])
             assert e == EXPECTED_E[n]
-            all_even, all_odd = count_even_split(levels5[n])
-            assert all_even == all_odd == e // 2
 
     def test_parity_indicator(self):
         assert even_parity_indicator(2) == 0b1001
@@ -230,6 +237,15 @@ class TestClassCounting:
 
     def test_count_via_classes_matches_enumeration(self, levels5):
         assert count_next_level_via_classes(levels5[4]) == EXPECTED_D[5]
+
+    def test_threaded_count_reports_progress_in_row_order(self, levels5):
+        reps, _ = twist_permutation_classes(levels5[4])
+        seen: list[tuple[int, int]] = []
+        count = count_next_level_via_classes(
+            levels5[4], threads=2, progress=lambda done, total: seen.append((done, total))
+        )
+        assert count == EXPECTED_D[5]
+        assert seen == [(k, len(reps)) for k in range(1, len(reps) + 1)]
 
     def test_row_counts_constant_on_classes(self, levels5):
         # the compatibility count of a first component depends only on its
