@@ -8,109 +8,17 @@ and compresses even families with container-style encodings that yield
 matching upper bounds.
 """
 
-from .setsystem import (
-    MAX_GROUND_SIZE,
-    ExchangeWitness,
-    ImproperSystemError,
-    Matroid,
-    MinorKind,
-    SetSystem,
-    SystemFormatError,
-    check_symmetric_exchange,
-    compose,
-    dual,
-    dumps_system,
-    elements_of,
-    full_power_set,
-    is_delta_matroid,
-    is_even,
-    is_matroid,
-    iter_bits,
-    load_system,
-    loads_system,
-    mask_of,
-    min_feasible_matroid,
-    minor,
-    popcount,
-    save_system,
-    system_from_dict,
-    system_to_dict,
-    twist,
-)
-from .levels import (
-    MAX_COUNTED_LEVEL,
-    MAX_LISTED_LEVEL,
-    CacheFormatError,
-    CacheInvariantError,
-    CountReport,
-    LevelCache,
-    ResourceLimitError,
-    antipodal_systems,
-    build_levels,
-    count_even,
-    count_next_level_via_classes,
-    count_report,
-    enumerate_level,
-    fast_delta_matroid_check,
-    gamma_value,
-    twist_permutation_classes,
-)
+# Only the names that the README and the scripts use; everything else is
+# imported from its submodule.
+from .setsystem import SetSystem, check_symmetric_exchange, is_delta_matroid, is_even
+from .levels import build_levels
 from .constructions import (
-    ComplementMode,
-    ConstructionError,
-    DegreeViolationError,
-    LayerError,
-    SparsePavingSpec,
-    StabilityViolationError,
-    VertexSet,
     complement_delta_matroid,
-    cut_bound_certifies,
     cut_count_lower_bound,
-    cut_count_lower_bound_exact,
-    even_lower_bound,
-    evens_plus_all_odds,
-    graham_sloane_stable_set,
-    hypercube_neighbors,
-    qn_degree,
-    random_residue_stable_subset,
     random_stable_set,
     random_stacked_layers,
     sample_cut_construction,
-    sample_cut_vertices,
-    sparse_paving_matroid,
     stacked_even_delta_matroid,
-    uniform_matroid,
-)
-from .encoding import (
-    BoundReport,
-    EncodingError,
-    EncodingRecord,
-    InconsistentPrefixError,
-    KWResult,
-    Parity,
-    Partition,
-    RegularGraph,
-    bell_number,
-    component_alpha,
-    component_sigma,
-    cover_certifies,
-    decode_even_system,
-    dumps_record,
-    eigenvalue_gap,
-    encode_even_system,
-    halved_cube,
-    halved_cube_spectrum,
-    kw_encode,
-    kw_reconstruct,
-    load_record,
-    loads_record,
-    local_cover,
-    reconstruct_system,
-    s_length_bound,
-    single_block_partition,
-    save_record,
-    smallest_eigenvalue,
-    upper_bound_report,
 )
 
 __version__ = "0.1.0"

@@ -33,9 +33,26 @@ def _emit(text: str, out_path: str | None) -> None:
         setsystem.atomic_write_text(out_path, text)
 
 
-def _check_max_n(max_n: int) -> None:
-    if max_n > setsystem.MAX_GROUND_SIZE:
-        raise ValueError(f"max_n {max_n} exceeds {setsystem.MAX_GROUND_SIZE}")
+def _report(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        text = "".join(line + "\n" for line in lines)
+    _emit(text, getattr(args, "out", None))
+
+
+def _check_limits(args: argparse.Namespace) -> None:
+    """Refuse out-of-range ground-set sizes and thread counts before any work."""
+    limits = {
+        "max_n": setsystem.MAX_GROUND_SIZE,
+        "n": setsystem.MAX_GROUND_SIZE,
+        "threads": os.cpu_count() or 1,
+    }
+    for name, high in limits.items():
+        value = getattr(args, name, None)
+        if value is not None and not 1 <= value <= high:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be in 1..{high}, got {value}")
 
 
 # --- subcommand implementations -----------------------------------------------
@@ -69,123 +86,92 @@ def cmd_check(args: argparse.Namespace) -> int:
             doc["delta_matroid"] = False
             doc["even"] = even
             doc["witness"] = {"x": witness.x, "y": witness.y, "e": witness.e}
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", None)
-    else:
-        _emit("".join(line + "\n" for line in lines), None)
+    _report(args, doc, lines)
     return EXIT_PASS if verdict else EXIT_VIOLATION
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    _check_max_n(args.max_n)
-    if args.threads < 1:
-        raise ValueError("threads must be >= 1")
     levels.check_count_limits(args.max_n, args.allow_n6)
     store = levels.build_levels(
         min(args.max_n, levels.MAX_LISTED_LEVEL),
         cache_dir=_resolve_cache_dir(args.cache_dir),
     )
-    d6 = None
-    if args.max_n > levels.MAX_LISTED_LEVEL:
-        progress = None
-        if args.verbose:
-            def progress(done: int, total: int) -> None:
-                if done % 50 == 0 or done == total:
-                    print(f"classes {done}/{total}", file=sys.stderr)
-        d6 = levels.count_next_level_via_classes(
-            store[5], threads=args.threads, progress=progress
-        )
+    progress = None
+    if args.verbose:
+        def progress(done: int, total: int) -> None:
+            if done % 50 == 0 or done == total:
+                print(f"classes {done}/{total}", file=sys.stderr)
     reports = levels.count_report(
-        args.max_n, store, with_even=args.with_even, allow_n6=args.allow_n6, d6=d6
+        args.max_n, store, with_even=args.with_even, allow_n6=args.allow_n6,
+        threads=args.threads, progress=progress,
     )
-    if args.format == "json":
-        doc = {
-            "levels": [
-                {"n": r.n, "d": r.d, "gamma": r.gamma}
-                | ({"e": r.e} if r.e is not None else {})
-                for r in reports
-            ]
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", None)
-    else:
-        header = f"{'n':>2}  {'d_n':>12}  {'gamma':>10}"
+    doc = {
+        "levels": [
+            {"n": r.n, "d": r.d, "gamma": r.gamma}
+            | ({"e": r.e} if r.e is not None else {})
+            for r in reports
+        ]
+    }
+    header = f"{'n':>2}  {'d_n':>12}  {'gamma':>10}"
+    if args.with_even:
+        header += f"  {'e_n':>8}"
+    lines = [header]
+    for r in reports:
+        row = f"{r.n:>2}  {r.d:>12}  {r.gamma:>10.6f}"
         if args.with_even:
-            header += f"  {'e_n':>8}"
-        rows = [header]
-        for r in reports:
-            row = f"{r.n:>2}  {r.d:>12}  {r.gamma:>10.6f}"
-            if args.with_even:
-                row += f"  {r.e if r.e is not None else '-':>8}"
-            rows.append(row)
-        _emit("".join(row + "\n" for row in rows), None)
+            row += f"  {r.e if r.e is not None else '-':>8}"
+        lines.append(row)
+    _report(args, doc, lines)
     return EXIT_PASS
 
 
 def cmd_count_even(args: argparse.Namespace) -> int:
-    _check_max_n(args.max_n)
     if args.max_n > levels.MAX_LISTED_LEVEL:
         raise levels.ResourceLimitError(
             f"even counts go up to level {levels.MAX_LISTED_LEVEL}"
         )
     store = levels.build_levels(args.max_n, cache_dir=_resolve_cache_dir(args.cache_dir))
     rows = [(n, levels.count_even(store[n])) for n in range(1, args.max_n + 1)]
-    if args.format == "json":
-        doc = {"levels": [{"n": n, "e": e} for n, e in rows]}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", None)
-    else:
-        text = [f"{'n':>2}  {'e_n':>8}"] + [f"{n:>2}  {e:>8}" for n, e in rows]
-        _emit("".join(row + "\n" for row in text), None)
+    doc = {"levels": [{"n": n, "e": e} for n, e in rows]}
+    lines = [f"{'n':>2}  {'e_n':>8}"] + [f"{n:>2}  {e:>8}" for n, e in rows]
+    _report(args, doc, lines)
     return EXIT_PASS
 
 
-def _emit_system(system: setsystem.SetSystem, args: argparse.Namespace) -> None:
-    _emit(setsystem.dumps_system(system), getattr(args, "out", None))
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
+    if args.kind == "gs-stable":
+        masks = constructions.graham_sloane_stable_set(args.n, args.r).sorted_masks()
+        doc = {"n": args.n, "r": args.r, "masks": masks}
+        _report(args, doc, [str(m) for m in masks])
+        return EXIT_PASS
     if args.kind == "stable-complement":
         vertex_set = constructions.random_stable_set(args.n, args.seed)
         system = constructions.complement_delta_matroid(vertex_set)
-        _emit_system(system, args)
     elif args.kind == "cut-sample":
         system = constructions.sample_cut_construction(args.n, args.cut, args.seed)
-        _emit_system(system, args)
-    elif args.kind == "stacked-even":
+    else:  # stacked-even; argparse restricts the choices
         layers = constructions.random_stacked_layers(args.n, args.seed)
         system = constructions.stacked_even_delta_matroid(args.n, layers)
-        _emit_system(system, args)
-    elif args.kind == "gs-stable":
-        vertex_set = constructions.graham_sloane_stable_set(args.n, args.r)
-        if args.format == "json":
-            doc = {"n": args.n, "r": args.r, "masks": vertex_set.sorted_masks()}
-            _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", getattr(args, "out", None))
-        else:
-            text = "".join(f"{m}\n" for m in vertex_set.sorted_masks())
-            _emit(text, getattr(args, "out", None))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown construction {args.kind}")
+    _emit(setsystem.dumps_system(system), args.out)
     return EXIT_PASS
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
     system = setsystem.load_system(args.in_path)
     record = encoding.encode_even_system(system)
-    _emit(encoding.dumps_record(record), getattr(args, "out", None))
+    _emit(encoding.dumps_record(record), args.out)
     return EXIT_PASS
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
     record = encoding.load_record(args.in_path)
     infeasible = encoding.decode_even_system(record)
-    if args.format == "json":
-        doc = {
-            "n": record.n,
-            "parity": record.parity.value,
-            "infeasible_even": list(infeasible),
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", getattr(args, "out", None))
-    else:
-        _emit("".join(f"{m}\n" for m in infeasible), getattr(args, "out", None))
+    doc = {
+        "n": record.n,
+        "parity": record.parity.value,
+        "infeasible_even": list(infeasible),
+    }
+    _report(args, doc, [str(m) for m in infeasible])
     return EXIT_PASS
 
 
@@ -208,51 +194,42 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         "residue_bound": str(a_bound),
         "roundtrip_exact": ok,
     }
-    if args.format == "json":
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", None)
-    else:
-        _emit("".join(line + "\n" for line in lines), None)
+    _report(args, doc, lines)
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     values = encoding.halved_cube_spectrum(args.n)
     smallest = encoding.smallest_eigenvalue(args.n)
-    if args.format == "json":
-        doc = {"n": args.n, "values": values, "min": smallest}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", None)
-    else:
-        lines = [
-            f"lambda={lam:>3} -> {val}"
-            for lam, val in zip(range(-args.n, args.n + 1, 2), values)
-        ]
-        lines.append(f"smallest: {smallest}")
-        _emit("".join(line + "\n" for line in lines), None)
+    doc = {"n": args.n, "values": values, "min": smallest}
+    lines = [
+        f"lambda={lam:>3} -> {val}"
+        for lam, val in zip(range(-args.n, args.n + 1, 2), values)
+    ]
+    lines.append(f"smallest: {smallest}")
+    _report(args, doc, lines)
     return EXIT_PASS
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
     report = encoding.upper_bound_report(args.n)
-    if args.format == "json":
-        doc = {
-            "n": report.n,
-            "alpha": str(report.alpha),
-            "sigma": report.sigma,
-            "sigma_prime": str(report.sigma_prime),
-            "bell_bound": report.bell_bound,
-            "log_e_n_bound": report.log_e_n_bound,
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", None)
-    else:
-        lines = [
-            f"n: {report.n}",
-            f"alpha: {report.alpha}",
-            f"sigma: {report.sigma!r}",
-            f"sigma_prime: {report.sigma_prime}",
-            f"bell_bound: {report.bell_bound}",
-            f"log_e_n_bound: {report.log_e_n_bound!r}",
-        ]
-        _emit("".join(line + "\n" for line in lines), None)
+    doc = {
+        "n": report.n,
+        "alpha": str(report.alpha),
+        "sigma": report.sigma,
+        "sigma_prime": str(report.sigma_prime),
+        "bell_bound": report.bell_bound,
+        "log_e_n_bound": report.log_e_n_bound,
+    }
+    lines = [
+        f"n: {report.n}",
+        f"alpha: {report.alpha}",
+        f"sigma: {report.sigma!r}",
+        f"sigma_prime: {report.sigma_prime}",
+        f"bell_bound: {report.bell_bound}",
+        f"log_e_n_bound: {report.log_e_n_bound!r}",
+    ]
+    _report(args, doc, lines)
     return EXIT_PASS
 
 
@@ -266,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--cache-dir", default=None, help="level cache directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="threads for the level-6 class count")
+                        help="threads for the level-6 class count (1..CPU count)")
     parser.add_argument("--verbose", action="store_true", help="progress on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -324,6 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         return args.func(args)
     except levels.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ upper bound on the number of even delta-matroids.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import os
@@ -76,16 +77,10 @@ class RegularGraph:
         return len(self.adjacency[0]) if self.adjacency else 0
 
     def index_of(self, mask: int) -> int:
-        lo, hi = 0, len(self.vertices)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.vertices[mid] < mask:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.vertices) or self.vertices[lo] != mask:
+        i = bisect.bisect_left(self.vertices, mask)
+        if i == len(self.vertices) or self.vertices[i] != mask:
             raise EncodingError(f"mask {mask} is not a vertex")
-        return lo
+        return i
 
 
 def halved_cube(n: int, parity: Parity = Parity.EVEN) -> RegularGraph:
@@ -220,11 +215,8 @@ def kw_reconstruct(graph: RegularGraph, s: tuple[int, ...], alpha: Fraction) -> 
 
 
 def s_length_bound(n: int) -> int:
-    """ceil(ln(d+1)/(d+lambda) * N) for the even component parameters."""
-    d = math.comb(n, 2)
-    lam = eigenvalue_gap(n)
-    big_n = 1 << (n - 1)
-    return math.ceil(math.log(d + 1) / (d + lam) * big_n)
+    """ceil(sigma * N) for the even component parameters."""
+    return math.ceil(component_sigma(n) * (1 << (n - 1)))
 
 
 def component_alpha(n: int) -> Fraction:
@@ -532,9 +524,7 @@ def upper_bound_report(n: int) -> BoundReport:
     if n < 3:
         raise EncodingError("bound evaluation needs n >= 3")
     alpha = component_alpha(n)
-    d = math.comb(n, 2)
-    lam = eigenvalue_gap(n)
-    sigma = math.log(d + 1) / float(d + lam)
+    sigma = float(component_sigma(n))
     half = 1 << (n - 1)
     sigma_prime = Fraction(1 + math.ceil(sigma * half), half)
     if not Fraction(sigma) <= sigma_prime <= Fraction(sigma) + Fraction(1, 1 << (n - 2)):

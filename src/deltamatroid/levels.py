@@ -4,10 +4,10 @@ Level n is built from level n-1 by composing every ordered pair of
 parents (each parent a delta-matroid or the improper system, excluding the
 improper/improper pair) and keeping the composites that are delta-matroids.
 Up to level 4 compatibility is decided by the axiom checker directly.  At
-level 5 it is decided by the minor-membership criterion: a proper system on
-five or more elements whose single-element deletions and contractions are
-all improper or delta-matroids is itself a delta-matroid unless its
-feasible family is a single antipodal pair.
+levels 5 and 6 it is decided by one kernel and the minor-membership
+criterion: a proper system on five or more elements whose single-element
+deletions and contractions are all improper or delta-matroids is itself a
+delta-matroid unless its feasible family is a single antipodal pair.
 
 Caches of whole levels are numpy arrays of feasibility vectors, sorted
 ascending, and can be persisted in a small binary format (see LevelCache).
@@ -16,6 +16,7 @@ ascending, and can be persisted in a small binary format (see LevelCache).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -24,12 +25,10 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .setsystem import (
-    ImproperSystemError,
     MinorKind,
     SetSystem,
     atomic_write_bytes,
     check_symmetric_exchange,
-    minor,
     popcount,
 )
 
@@ -77,17 +76,12 @@ class LevelCache:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def contains(self, bits: int) -> bool:
-        i = int(np.searchsorted(self.vectors, bits))
-        return i < len(self.vectors) and int(self.vectors[i]) == bits
-
     def systems(self) -> Iterator[SetSystem]:
         for v in self.vectors:
             yield SetSystem(self.n, int(v))
 
-    def validate(self, deep: bool = False) -> None:
-        """Check structural invariants; with deep=True re-run the axiom
-        checker on every entry (only sensible for small levels)."""
+    def validate(self) -> None:
+        """Check structural invariants."""
         v = self.vectors
         if v.dtype != _dtype_for(self.n):
             raise CacheInvariantError(f"dtype {v.dtype} wrong for level {self.n}")
@@ -100,10 +94,6 @@ class LevelCache:
         limit = 1 << (1 << self.n)
         if int(v[-1]) >= limit:
             raise CacheInvariantError("vector out of range for level")
-        if deep:
-            for s in self.systems():
-                if check_symmetric_exchange(s) is not None:
-                    raise CacheInvariantError(f"non-delta-matroid entry {s.bits:#x}")
 
     def save(self, path: str | os.PathLike) -> None:
         header = (
@@ -160,6 +150,7 @@ def _enumerate_small(prev: LevelCache) -> LevelCache:
 
 # --- minor-membership compatibility kernel (levels >= 5) ---------------------
 
+@functools.cache
 def _minor_table(p: int, kind: MinorKind) -> np.ndarray:
     """Lookup table: feasibility vector on {1..4} -> vector of its minor.
 
@@ -174,92 +165,62 @@ def _minor_table(p: int, kind: MinorKind) -> np.ndarray:
     return out.astype(np.uint8)
 
 
-_TABLES4: dict[tuple[int, MinorKind], np.ndarray] = {}
-
-
-def _tables4() -> dict[tuple[int, MinorKind], np.ndarray]:
-    if not _TABLES4:
-        for p in range(4):
-            for kind in MinorKind:
-                _TABLES4[(p, kind)] = _minor_table(p, kind)
-    return _TABLES4
-
-
 def _parent_minor_array(vectors: np.ndarray, parent_n: int, p: int, kind: MinorKind) -> np.ndarray:
     """Minor vectors of every parent, as a uint16 array (parent_n in {4, 5})."""
-    tabs = _tables4()
     if parent_n == 4:
-        return tabs[(p, kind)][vectors].astype(np.uint16)
-    if parent_n == 5:
-        lo = (vectors & np.uint32(0xFFFF)).astype(np.uint16)
-        hi = (vectors >> np.uint32(16)).astype(np.uint16)
-        if p < 4:
-            t = tabs[(p, kind)]
-            return (t[hi].astype(np.uint16) << np.uint16(8)) | t[lo]
-        return hi if kind is MinorKind.CONTRACT else lo
-    raise ResourceLimitError(f"no minor kernel for parent level {parent_n}")
+        return _minor_table(p, kind)[vectors].astype(np.uint16)
+    lo = (vectors & np.uint32(0xFFFF)).astype(np.uint16)
+    hi = (vectors >> np.uint32(16)).astype(np.uint16)
+    if p < 4:
+        t = _minor_table(p, kind)
+        return (t[hi].astype(np.uint16) << np.uint16(8)) | t[lo]
+    return hi if kind is MinorKind.CONTRACT else lo
 
 
 class _ComposeKernel:
     """Vectorized compatibility rows for one child level (5 or 6).
 
     Holds the parent vectors (improper prepended), each parent's minor
-    vectors per (element, kind), and a membership oracle against the
-    previous level.  A row tests one first component against every second
+    vectors per (element, kind), and a packed membership bitmap of the
+    parents.  A row tests one first component against every second
     component at once: the composed system is a delta-matroid iff every
-    joined minor is improper or cached and the pair is not antipodal.
+    joined minor is a parent (improper included) and the pair is not
+    antipodal.
     """
 
     def __init__(self, prev: LevelCache):
         self.child_n = prev.n + 1
         if self.child_n not in (5, 6):
             raise ResourceLimitError("compose kernel supports child levels 5 and 6")
-        self.prev = prev
         dtype = prev.vectors.dtype
-        self.parents = np.concatenate(
-            [np.zeros(1, dtype=dtype), prev.vectors]
-        )
-        self.combos = [
-            (p, kind) for p in range(prev.n) for kind in MinorKind
-        ]
+        self.parents = np.concatenate([np.zeros(1, dtype=dtype), prev.vectors])
+        self.combos = [(p, kind) for p in range(prev.n) for kind in MinorKind]
         self.parent_minors = {
             combo: _parent_minor_array(self.parents, prev.n, *combo)
             for combo in self.combos
         }
-        if prev.n == 4:
-            # joined minors are 16-bit: direct membership table
-            table = np.zeros(1 << 16, dtype=bool)
-            table[0] = True
-            table[prev.vectors] = True
-            self._ok_table: np.ndarray | None = table
-            self._packed: np.ndarray | None = None
-        else:
-            # joined minors are 32-bit: packed bitmap, read in 2^16-wide
-            # windows (one window per first-component minor value)
-            packed = np.zeros(1 << 29, dtype=np.uint8)
-            for b in range(8):
-                sel = prev.vectors[(prev.vectors & np.uint32(7)) == b] >> np.uint32(3)
-                packed[sel] |= np.uint8(1 << b)
-            self._ok_table = None
-            self._packed = packed
+        # a joined minor is (first minor) << half | (second minor), so the
+        # bitmap is read in windows of 2^half bits, one per first minor
+        half = 1 << (prev.n - 1)
+        self._window_shift = half - 3
+        packed = np.zeros(1 << ((1 << prev.n) - 3), dtype=np.uint8)
+        for b in range(8):
+            packed[self.parents[(self.parents & 7) == b] >> 3] |= np.uint8(1 << b)
+        self._packed = packed
 
     def row_ok(self, parent_index: int) -> np.ndarray:
         """Boolean array over all parents-as-second-component: True where
         the composed system is a delta-matroid."""
         d1 = int(self.parents[parent_index])
+        shift = self._window_shift
         ok: np.ndarray | None = None
         for combo in self.combos:
             pm = self.parent_minors[combo]
             m1 = int(pm[parent_index])
-            if self._ok_table is not None:
-                good = self._ok_table[(np.uint16(m1) << np.uint16(8)) | pm]
-            else:
-                window = np.unpackbits(
-                    self._packed[m1 << 13:(m1 + 1) << 13], bitorder="little"
-                ).view(bool)
-                if m1 == 0:
-                    window[0] = True
-                good = window[pm]
+            window = np.unpackbits(
+                self._packed[m1 << shift:(m1 + 1) << shift], bitorder="little"
+            ).view(bool)
+            good = window[pm]
             ok = good if ok is None else (ok & good)
         assert ok is not None
         if d1 == 0:
@@ -272,21 +233,17 @@ class _ComposeKernel:
                 ok[j] = False
         return ok
 
-    def row_vectors(self, parent_index: int, out_dtype: np.dtype) -> np.ndarray:
-        ok = self.row_ok(parent_index)
-        d1 = int(self.parents[parent_index])
-        shifted = np.array(d1, dtype=out_dtype) << np.array(
-            1 << (self.child_n - 1), dtype=out_dtype
-        )
-        return self.parents[ok].astype(out_dtype) | shifted
-
 
 def _enumerate_fast(prev: LevelCache) -> LevelCache:
     kernel = _ComposeKernel(prev)
     dtype = _dtype_for(kernel.child_n)
-    pieces = [kernel.row_vectors(i, dtype) for i in range(len(kernel.parents))]
+    half = np.array(1 << (kernel.child_n - 1), dtype=dtype)
     # parents are ascending and the first component occupies the high bits,
     # so concatenation in row order is already globally sorted
+    pieces = []
+    for i, d1 in enumerate(kernel.parents.tolist()):
+        second = kernel.parents[kernel.row_ok(i)].astype(dtype)
+        pieces.append(second | (np.array(d1, dtype=dtype) << half))
     return LevelCache(kernel.child_n, np.concatenate(pieces))
 
 
@@ -301,30 +258,6 @@ def enumerate_level(prev: LevelCache) -> LevelCache:
     if n < 5:
         return _enumerate_small(prev)
     return _enumerate_fast(prev)
-
-
-def fast_delta_matroid_check(d: SetSystem, prev: LevelCache) -> bool:
-    """Delta-matroid test by minor membership plus antipodal exclusion.
-
-    Valid on ground sets of size >= 5; agrees with check_symmetric_exchange
-    there.  ``prev`` must be the complete cache one level down.
-    """
-    if d.n < 5:
-        raise ValueError("minor-membership test requires n >= 5")
-    if d.n != prev.n + 1:
-        raise ValueError(f"cache level {prev.n} does not match system n={d.n}")
-    if not d.is_proper:
-        raise ImproperSystemError("improper system")
-    if d.num_feasible == 2:
-        a, b = d.feasible_masks()
-        if a ^ b == (1 << d.n) - 1:
-            return False
-    for e in range(1, d.n + 1):
-        for kind in MinorKind:
-            sub = minor(d, e, kind)
-            if sub.bits != 0 and not prev.contains(sub.bits):
-                return False
-    return True
 
 
 def antipodal_systems(n: int) -> list[SetSystem]:
@@ -380,13 +313,15 @@ def count_report(
     levels: dict[int, LevelCache],
     with_even: bool = False,
     allow_n6: bool = False,
-    d6: int | None = None,
+    threads: int = 1,
+    progress: Callable[[int, int], None] | None = None,
 ) -> list[CountReport]:
     """Exact counts and gamma statistics for levels 1..n_max.
 
     ``levels`` must hold caches for 1..min(n_max, 5).  Level 6 is count-only
-    and gated behind allow_n6; pass a precomputed d6 or it is recomputed
-    from level 5 by equivalence-class counting (slow).
+    and gated behind allow_n6; it is counted from level 5 by
+    equivalence-class counting (slow), with ``threads`` and ``progress``
+    passed to count_next_level_via_classes.
     """
     check_count_limits(n_max, allow_n6)
     reports = []
@@ -395,7 +330,7 @@ def count_report(
             d = len(levels[n])
             e = count_even(levels[n]) if with_even else None
         else:
-            d = d6 if d6 is not None else count_next_level_via_classes(levels[5])
+            d = count_next_level_via_classes(levels[5], threads=threads, progress=progress)
             e = None
         reports.append(CountReport(n=n, d=d, gamma=gamma_value(n, d), e=e))
     _verify_count_invariants(reports)

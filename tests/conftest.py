@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deltamatroid import EncodingError, build_levels
+from deltamatroid.levels import build_levels
+from deltamatroid.encoding import EncodingError
 
 
 def mask_to_set(mask: int) -> frozenset[int]:

@@ -14,29 +14,29 @@ from itertools import combinations
 
 import pytest
 
-from deltamatroid import (
+from deltamatroid.setsystem import is_delta_matroid, is_even, twist
+from deltamatroid.levels import count_even, count_report
+from deltamatroid.constructions import (
     ComplementMode,
+    VertexSet,
     complement_delta_matroid,
-    component_alpha,
-    count_even,
-    count_report,
-    cover_certifies,
     cut_count_lower_bound,
+    random_stable_set,
+    random_stacked_layers,
+    sample_cut_construction,
+    stacked_even_delta_matroid,
+)
+from deltamatroid.encoding import (
+    component_alpha,
+    cover_certifies,
     decode_even_system,
     encode_even_system,
     halved_cube,
-    is_delta_matroid,
-    is_even,
     kw_encode,
     kw_reconstruct,
     local_cover,
-    random_stable_set,
-    random_stacked_layers,
     s_length_bound,
-    sample_cut_construction,
     smallest_eigenvalue,
-    stacked_even_delta_matroid,
-    twist,
     upper_bound_report,
 )
 from tests.conftest import distance_two_matrix_identity, oracle_is_delta_matroid
@@ -147,8 +147,6 @@ def test_ac05_construction_soundness():
         if any((m ^ (1 << i)) in members for m in members for i in range(3)):
             continue
         total_q3 += 1
-        from deltamatroid import VertexSet
-
         d = complement_delta_matroid(VertexSet(3, members), ComplementMode.STABLE)
         if not is_delta_matroid(d):
             failures += 1

@@ -3,22 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
 
 import pytest
 
-from deltamatroid import (
+from deltamatroid import constructions, encoding, levels
+from deltamatroid.cli import main
+from deltamatroid.constructions import random_stacked_layers, stacked_even_delta_matroid
+from deltamatroid.setsystem import (
     SetSystem,
     dumps_system,
     is_delta_matroid,
     load_system,
     loads_system,
-    random_stacked_layers,
-    stacked_even_delta_matroid,
 )
-from deltamatroid import levels
-from deltamatroid.cli import main
 from deltamatroid.levels import cache_path
 
 
@@ -249,6 +249,48 @@ class TestSpectrumAndBound:
 
     def test_bound_rejects_tiny(self, capsys):
         assert main(["bound", "--n", "2"]) == 2
+
+
+class TestLimits:
+    """Out-of-range sizes and thread counts exit 2 before any work starts."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the limit check")
+
+        for module, name in [
+            (constructions, "random_stable_set"),
+            (constructions, "sample_cut_construction"),
+            (constructions, "random_stacked_layers"),
+            (constructions, "graham_sloane_stable_set"),
+            (encoding, "halved_cube_spectrum"),
+            (encoding, "upper_bound_report"),
+            (levels, "build_levels"),
+            (levels, "count_next_level_via_classes"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "cut-sample", "--n", "40"],
+        ["construct", "gs-stable", "--n", "60", "--r", "30"],
+        ["construct", "stable-complement", "--n", "40"],
+        ["construct", "stacked-even", "--n", "0"],
+        ["spectrum", "--n", "300000000"],
+        ["bound", "--n", "1100"],
+        ["count", "--max-n", "0"],
+        ["count-even", "--max-n", "0"],
+    ], ids=lambda argv: "-".join(argv).replace("--", ""))
+    def test_size_refused_before_any_work(self, argv, capsys):
+        assert main(argv) == 2
+        assert "must be in 1..16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
+    def test_threads_refused_before_any_work(self, threads, tmp_path, capsys):
+        argv = ["--threads", str(threads), "count", "--max-n", "6", "--allow-n6"]
+        assert main(argv) == 2
+        assert "--threads must be in 1.." in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
 
 
 class TestInstalledScript:

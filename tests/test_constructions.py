@@ -8,13 +8,19 @@ from fractions import Fraction
 
 import pytest
 
-from deltamatroid import (
+from deltamatroid.setsystem import (
+    ImproperSystemError,
+    SetSystem,
+    dual,
+    is_delta_matroid,
+    is_even,
+    is_matroid,
+)
+from deltamatroid.constructions import (
     ComplementMode,
     ConstructionError,
     DegreeViolationError,
-    ImproperSystemError,
     LayerError,
-    SetSystem,
     SparsePavingSpec,
     StabilityViolationError,
     VertexSet,
@@ -22,14 +28,10 @@ from deltamatroid import (
     cut_bound_certifies,
     cut_count_lower_bound,
     cut_count_lower_bound_exact,
-    dual,
     even_lower_bound,
     evens_plus_all_odds,
     graham_sloane_stable_set,
     hypercube_neighbors,
-    is_delta_matroid,
-    is_even,
-    is_matroid,
     qn_degree,
     random_residue_stable_subset,
     random_stable_set,

@@ -10,7 +10,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from deltamatroid import (
+from deltamatroid.setsystem import SetSystem, SystemFormatError, is_even, twist
+from deltamatroid.constructions import (
+    random_stacked_layers,
+    stacked_even_delta_matroid,
+)
+from deltamatroid.encoding import (
     BoundReport,
     EncodingError,
     EncodingRecord,
@@ -19,8 +24,6 @@ from deltamatroid import (
     Parity,
     Partition,
     RegularGraph,
-    SetSystem,
-    SystemFormatError,
     bell_number,
     component_alpha,
     component_sigma,
@@ -31,20 +34,16 @@ from deltamatroid import (
     eigenvalue_gap,
     halved_cube,
     halved_cube_spectrum,
-    is_even,
     kw_encode,
     kw_reconstruct,
     load_record,
     loads_record,
     local_cover,
-    random_stacked_layers,
     reconstruct_system,
     s_length_bound,
     save_record,
     single_block_partition,
     smallest_eigenvalue,
-    stacked_even_delta_matroid,
-    twist,
     upper_bound_report,
 )
 from tests.conftest import cube_adjacency_matrix, distance_two_matrix_identity

@@ -8,27 +8,26 @@ import random
 import numpy as np
 import pytest
 
-from deltamatroid import (
+from deltamatroid import levels
+from deltamatroid.setsystem import SetSystem, check_symmetric_exchange, compose, is_delta_matroid
+from deltamatroid.levels import (
     CacheFormatError,
     CacheInvariantError,
-    ImproperSystemError,
     LevelCache,
     ResourceLimitError,
-    SetSystem,
+    _ComposeKernel,
     antipodal_systems,
     build_levels,
-    check_symmetric_exchange,
-    compose,
     count_even,
     count_next_level_via_classes,
     count_report,
     enumerate_level,
-    fast_delta_matroid_check,
     gamma_value,
-    is_delta_matroid,
+    cache_path,
+    even_parity_indicator,
+    twist_permutation_canonical,
     twist_permutation_classes,
 )
-from deltamatroid.levels import cache_path, even_parity_indicator, _ComposeKernel
 
 EXPECTED_D = {1: 3, 2: 15, 3: 155, 4: 5959, 5: 4980259}
 EXPECTED_E = {1: 2, 2: 6, 3: 30, 4: 294, 5: 7966}
@@ -42,10 +41,6 @@ class TestEnumeration:
     def test_matches_raw_oracle(self, levels5, oracle_levels):
         for n, expected in oracle_levels.items():
             assert [int(v) for v in levels5[n].vectors] == expected
-
-    def test_level_entries_pass_axiom_deeply(self, levels5):
-        for n in range(1, 4):
-            levels5[n].validate(deep=True)
 
     def test_incomplete_cache_rejected(self):
         broken = LevelCache(2, np.array([3, 2], dtype="<u1"))
@@ -62,34 +57,44 @@ class TestEnumeration:
 
 
 class TestFastCheck:
+    """The compose kernel that builds level 5, against the axiom checker."""
+
+    @pytest.fixture(scope="class")
+    def kernel(self, levels5):
+        return _ComposeKernel(levels5[4])
+
+    @staticmethod
+    def admits(kernel: _ComposeKernel, d: SetSystem) -> bool:
+        """Kernel verdict on d, split into its contraction and deletion by
+        the top element (the row and the column)."""
+        half = 1 << (d.n - 1)
+        halves = (d.bits >> half, d.bits & ((1 << half) - 1))
+        row, col = (int(np.searchsorted(kernel.parents, h)) for h in halves)
+        assert [int(kernel.parents[row]), int(kernel.parents[col])] == list(halves)
+        return bool(kernel.row_ok(row)[col])
+
     def test_requires_scale(self, levels5):
-        with pytest.raises(ValueError):
-            fast_delta_matroid_check(SetSystem(4, 1), levels5[3])
-        with pytest.raises(ValueError):
-            fast_delta_matroid_check(SetSystem(5, 1), levels5[3])
-        with pytest.raises(ImproperSystemError):
-            fast_delta_matroid_check(SetSystem(5, 0), levels5[4])
+        with pytest.raises(ResourceLimitError):
+            _ComposeKernel(levels5[3])
 
-    def test_antipodal_family_is_rejected(self, levels5):
+    def test_antipodal_family_is_rejected(self, kernel):
         for s in antipodal_systems(5):
-            assert not fast_delta_matroid_check(s, levels5[4])
+            assert not self.admits(kernel, s)
 
-    def test_rich_families_with_good_minors_pass(self, levels5):
+    def test_rich_families_with_good_minors_pass(self, kernel):
         s = SetSystem.from_masks(5, [m for m in range(32) if bin(m).count("1") % 2 == 1])
         assert s.num_feasible >= 3
-        assert fast_delta_matroid_check(s, levels5[4])
+        assert self.admits(kernel, s)
 
-    def test_agrees_with_axiom_on_random_composites(self, levels5):
+    def test_agrees_with_axiom_on_random_composites(self, kernel):
         rng = random.Random(20260816)
-        parents = [0] + [int(v) for v in levels5[4].vectors]
+        size = len(kernel.parents)
         for _ in range(2000):
-            d1 = SetSystem(4, rng.choice(parents))
-            d2 = SetSystem(4, rng.choice(parents))
-            d = compose(d1, d2)
-            if not d.is_proper:
+            i, j = rng.randrange(size), rng.randrange(size)
+            if i == j == 0:
                 continue
-            fast = fast_delta_matroid_check(d, levels5[4])
-            assert fast == (check_symmetric_exchange(d) is None), d.bits
+            d = compose(SetSystem(4, int(kernel.parents[i])), SetSystem(4, int(kernel.parents[j])))
+            assert bool(kernel.row_ok(i)[j]) == (check_symmetric_exchange(d) is None), d.bits
 
     @pytest.mark.skipif(
         not os.environ.get("DM_SLOW_TESTS"),
@@ -218,6 +223,19 @@ class TestCounts:
         with pytest.raises(ResourceLimitError):
             count_report(7, levels5, allow_n6=True)
 
+    def test_level6_counted_through_classes(self, levels5, monkeypatch):
+        calls = []
+
+        def counted(prev, threads=1, progress=None):
+            calls.append((prev.n, threads, progress))
+            return 10**12
+
+        monkeypatch.setattr(levels, "count_next_level_via_classes", counted)
+        progress = lambda done, total: None  # noqa: E731
+        reports = count_report(6, levels5, allow_n6=True, threads=2, progress=progress)
+        assert reports[-1].d == 10**12
+        assert calls == [(5, 2, progress)]
+
     def test_even_counts_and_split(self, levels5):
         for n in range(1, 6):
             e = count_even(levels5[n])
@@ -250,8 +268,6 @@ class TestClassCounting:
     def test_row_counts_constant_on_classes(self, levels5):
         # the compatibility count of a first component depends only on its
         # twist/relabel class; spot-check several classes directly
-        from deltamatroid.levels import twist_permutation_canonical
-
         canon = twist_permutation_canonical(levels5[4])
         kernel = _ComposeKernel(levels5[4])
         rng = random.Random(7)

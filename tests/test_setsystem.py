@@ -7,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltamatroid import (
+from deltamatroid.setsystem import (
     ExchangeWitness,
     ImproperSystemError,
     Matroid,
