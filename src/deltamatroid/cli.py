@@ -22,6 +22,10 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+class UsageError(Exception):
+    """A command-line value outside its allowed range."""
+
+
 def _resolve_cache_dir(flag_value: str | None) -> str | None:
     return os.environ.get("DM_CACHE_DIR") or flag_value
 
@@ -52,7 +56,7 @@ def _check_limits(args: argparse.Namespace) -> None:
         value = getattr(args, name, None)
         if value is not None and not 1 <= value <= high:
             flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be in 1..{high}, got {value}")
+            raise UsageError(f"{flag} must be in 1..{high}, got {value}")
 
 
 # --- subcommand implementations -----------------------------------------------
@@ -307,12 +311,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (
+        UsageError,
         setsystem.SystemFormatError,
         levels.CacheFormatError,
         setsystem.ImproperSystemError,
         encoding.EncodingError,
         constructions.ConstructionError,
-        ValueError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

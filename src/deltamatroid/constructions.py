@@ -27,10 +27,10 @@ from .setsystem import (
     ImproperSystemError,
     Matroid,
     SetSystem,
+    even_parity_indicator,
     mask_of,
     popcount,
 )
-from .levels import even_parity_indicator
 
 
 class ConstructionError(ValueError):

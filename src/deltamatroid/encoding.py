@@ -29,7 +29,6 @@ from .setsystem import (
     SystemFormatError,
     atomic_write_text,
     is_even,
-    min_feasible_matroid,
     popcount,
     twist,
 )
@@ -83,21 +82,23 @@ class RegularGraph:
         return i
 
 
-def halved_cube(n: int, parity: Parity = Parity.EVEN) -> RegularGraph:
-    """One component of the distance-2 graph of the n-cube.
+def _pair_masks(n: int) -> list[int]:
+    """Masks of the C(n, 2) two-element subsets, in lexicographic order."""
+    return [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
 
-    Vertices are the 2^(n-1) masks of the given size parity, in ascending
-    order; two are adjacent when they differ in exactly two bits.  The
-    graph is regular of degree C(n, 2).
+
+def halved_cube(n: int) -> RegularGraph:
+    """The even component of the distance-2 graph of the n-cube.
+
+    Vertices are the 2^(n-1) even-size masks, in ascending order; two are
+    adjacent when they differ in exactly two bits.  The graph is regular
+    of degree C(n, 2).
     """
     if n < 2:
         raise EncodingError("component graph needs n >= 2")
-    want = 0 if parity is Parity.EVEN else 1
-    vertices = tuple(m for m in range(1 << n) if popcount(m) & 1 == want)
+    vertices = tuple(m for m in range(1 << n) if popcount(m) & 1 == 0)
     index = {m: i for i, m in enumerate(vertices)}
-    flips = [
-        (1 << i) | (1 << j) for i, j in combinations(range(n), 2)
-    ]
+    flips = _pair_masks(n)
     adjacency = tuple(
         tuple(index[m ^ f] for f in flips) for m in vertices
     )
@@ -130,22 +131,14 @@ class KWResult:
     a: tuple[int, ...]
 
 
-def _peel(
-    graph: RegularGraph,
-    alpha: Fraction,
-    in_l,
-    expected_s: tuple[int, ...] | None = None,
-) -> KWResult:
-    """Shared engine for encoding and replay.
+def _peel(graph: RegularGraph, alpha: Fraction, members: set[int]) -> KWResult:
+    """Peel the graph against the vertex set ``members``.
 
     At each step the highest-degree vertex of the surviving induced
     subgraph is examined (ties to the earliest vertex in the fixed order).
-    An L-vertex is appended to S and removed together with its surviving
-    neighbours; a non-L vertex is removed alone.  Stops once the survivor
+    A member is appended to S and removed together with its surviving
+    neighbours; a non-member is removed alone.  Stops once the survivor
     count is at most alpha * N.
-
-    For replay mode ``in_l`` tests membership in the claimed S and
-    ``expected_s`` enforces that S is consumed in order and exhausted.
     """
     if not 0 < alpha < 1:
         raise EncodingError(f"alpha must be in (0, 1), got {alpha}")
@@ -171,12 +164,7 @@ def _peel(
             if alive[idx] and degree[idx] > best_deg:
                 best, best_deg = idx, degree[idx]
         mask = graph.vertices[best]
-        if in_l(mask):
-            if expected_s is not None:
-                if len(s) >= len(expected_s) or expected_s[len(s)] != mask:
-                    raise InconsistentPrefixError(
-                        f"replay selects {mask} out of order"
-                    )
+        if mask in members:
             s.append(mask)
             neighbours = [nb for nb in graph.adjacency[best] if alive[nb]]
             remove(best)
@@ -184,10 +172,6 @@ def _peel(
                 remove(nb)
         else:
             remove(best)
-    if expected_s is not None and len(s) != len(expected_s):
-        raise InconsistentPrefixError(
-            "replay finished without selecting all claimed vertices"
-        )
     a = tuple(graph.vertices[i] for i in range(count) if alive[i])
     return KWResult(tuple(s), a)
 
@@ -201,16 +185,21 @@ def kw_encode(graph: RegularGraph, l_set, alpha: Fraction) -> KWResult:
     members = set(l_set)
     for m in members:
         graph.index_of(m)
-    return _peel(graph, alpha, members.__contains__)
+    return _peel(graph, alpha, members)
 
 
 def kw_reconstruct(graph: RegularGraph, s: tuple[int, ...], alpha: Fraction) -> tuple[int, ...]:
     """Replay the procedure from S alone and return the residue A.
 
-    The residue is independent of which L produced S, so the record does
-    not need to transmit it.
+    Peeling against S itself selects S again, in order, whenever S came
+    from some L; so the residue is independent of which L produced S, and
+    the record does not need to transmit it.
     """
-    result = _peel(graph, alpha, set(s).__contains__, expected_s=tuple(s))
+    result = _peel(graph, alpha, set(s))
+    if result.s != tuple(s):
+        raise InconsistentPrefixError(
+            "the claimed selection is not reproduced by peeling against it"
+        )
     return result.a
 
 
@@ -263,10 +252,11 @@ def local_cover(d: SetSystem, x: int) -> Partition:
     """Partition of the ground set plus z recording, for the infeasible
     even set X, which sets X symmetric-difference {a, b} are feasible.
 
-    If none are, the partition is a single block.  Otherwise the size-2
-    minimum feasible sets of the twist D*X are the bases of a rank-2
-    matroid; the blocks are its parallel classes, with loops and z merged
-    into one block.
+    The twist D*X is even with no empty set, so its minimum feasible sets
+    have size 2 exactly when some distance-2 neighbour X ^ {a, b} is
+    feasible.  If none is, the partition is a single block.  Otherwise
+    those pairs {a, b} are the bases of a rank-2 matroid; the blocks are
+    its parallel classes, with loops and z merged into one block.
     """
     if not is_even(d):
         raise EncodingError("local covers require an even delta-matroid")
@@ -276,13 +266,11 @@ def local_cover(d: SetSystem, x: int) -> Partition:
         raise EncodingError(f"target set {x} has odd size")
     if d.has_mask(x):
         raise EncodingError(f"target set {x} is feasible")
-    twisted = twist(d, x)
-    matroid = min_feasible_matroid(twisted)
-    if matroid.rank >= 4:
+    bases = {
+        pair for pair in _pair_masks(d.n) if (d.bits >> (x ^ pair)) & 1
+    }
+    if not bases:
         return single_block_partition(d.n)
-    if matroid.rank != 2:
-        raise EncodingError(f"unexpected minimum feasible size {matroid.rank}")
-    bases = set(matroid.system.feasible_masks())
     non_loops = [
         e for e in range(1, d.n + 1)
         if any(basis & (1 << (e - 1)) for basis in bases)
@@ -333,13 +321,12 @@ class EncodingRecord:
     ``s`` is the ordered peeling selection, ``covers`` one partition per
     member of s, ``residual`` the infeasible even sets surviving in the
     residue A.  ``parity`` records whether the original system was twisted
-    by {1} to make all sizes even.
+    by {1} to make all sizes even.  The peeling parameters alpha and sigma
+    are functions of n.
     """
 
     n: int
     parity: Parity
-    alpha: Fraction
-    sigma: Fraction
     s: tuple[int, ...]
     covers: tuple[Partition, ...]
     residual: tuple[int, ...]
@@ -349,6 +336,14 @@ class EncodingRecord:
             raise EncodingError("one cover required per selected vertex")
         if len(self.s) > s_length_bound(self.n):
             raise EncodingError("selection exceeds its guaranteed length bound")
+
+    @property
+    def alpha(self) -> Fraction:
+        return component_alpha(self.n)
+
+    @property
+    def sigma(self) -> Fraction:
+        return component_sigma(self.n)
 
 
 def component_sigma(n: int) -> Fraction:
@@ -374,19 +369,16 @@ def encode_even_system(d: SetSystem) -> EncodingRecord:
     if popcount(next(d.feasible_masks())) & 1:
         parity = Parity.ODD
         d = twist(d, 1)
-    graph = halved_cube(d.n, Parity.EVEN)
+    graph = halved_cube(d.n)
     feasible = set(d.feasible_masks())
     l_set = [m for m in graph.vertices if m not in feasible]
-    alpha = component_alpha(d.n)
-    result = kw_encode(graph, l_set, alpha)
+    result = kw_encode(graph, l_set, component_alpha(d.n))
     in_a = set(result.a)
     covers = tuple(local_cover(d, x) for x in result.s)
     residual = tuple(m for m in l_set if m in in_a)
     return EncodingRecord(
         n=d.n,
         parity=parity,
-        alpha=alpha,
-        sigma=component_sigma(d.n),
         s=result.s,
         covers=covers,
         residual=residual,
@@ -395,7 +387,7 @@ def encode_even_system(d: SetSystem) -> EncodingRecord:
 
 def decode_even_system(record: EncodingRecord) -> tuple[int, ...]:
     """Reconstruct the infeasible even-mask family from a record."""
-    graph = halved_cube(record.n, Parity.EVEN)
+    graph = halved_cube(record.n)
     residue = set(kw_reconstruct(graph, record.s, record.alpha))
     for m in record.residual:
         if m not in residue:
@@ -452,8 +444,7 @@ def record_from_dict(doc: object) -> EncodingRecord:
         )
     try:
         parity = Parity(doc["parity"])
-        alpha = Fraction(doc["alpha"])
-        sigma = Fraction(doc["sigma"])
+        stated = {name: Fraction(doc[name]) for name in ("alpha", "sigma")}
         s = tuple(int(m) for m in doc["s"])
         covers = tuple(
             Partition(n, tuple(frozenset(block) for block in blocks))
@@ -462,7 +453,14 @@ def record_from_dict(doc: object) -> EncodingRecord:
         residual = tuple(int(m) for m in doc["residual"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemFormatError(f"bad record document: {exc}") from None
-    return EncodingRecord(n, parity, alpha, sigma, s, covers, residual)
+    record = EncodingRecord(n, parity, s, covers, residual)
+    for name, value in stated.items():
+        expected = getattr(record, name)
+        if value != expected:
+            raise SystemFormatError(
+                f"field {name!r} must be {expected} for n={n}, got {doc[name]!r}"
+            )
+    return record
 
 
 def dumps_record(record: EncodingRecord) -> str:

@@ -29,6 +29,7 @@ from .setsystem import (
     SetSystem,
     atomic_write_bytes,
     check_symmetric_exchange,
+    even_parity_indicator,
     popcount,
 )
 
@@ -335,16 +336,6 @@ def count_report(
         reports.append(CountReport(n=n, d=d, gamma=gamma_value(n, d), e=e))
     _verify_count_invariants(reports)
     return reports
-
-
-def even_parity_indicator(n: int) -> int:
-    """Integer whose bit m is set iff mask m has even popcount."""
-    ind = 1
-    for k in range(n):
-        width = 1 << k
-        odd = ind ^ ((1 << width) - 1)
-        ind |= odd << width
-    return ind
 
 
 def count_even(cache: LevelCache) -> int:

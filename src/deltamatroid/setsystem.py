@@ -141,10 +141,6 @@ class Matroid:
         return Matroid(twist(self.system, full), self.n - self.rank)
 
 
-def full_power_set(n: int) -> SetSystem:
-    return SetSystem(n, (1 << (1 << n)) - 1)
-
-
 def _allowed_exchange_mask(bits: int, n: int, x: int, p: int) -> int:
     """Bitmask over element positions q such that exchanging {p+1, q+1}
     at feasible X keeps the result feasible; q == p means the single flip."""
@@ -195,13 +191,22 @@ def is_delta_matroid(s: SetSystem) -> bool:
     return check_symmetric_exchange(s) is None
 
 
+def even_parity_indicator(n: int) -> int:
+    """Integer whose bit m is set iff mask m has even popcount."""
+    ind = 1
+    for k in range(n):
+        width = 1 << k
+        odd = ind ^ ((1 << width) - 1)
+        ind |= odd << width
+    return ind
+
+
 def is_even(s: SetSystem) -> bool:
     """True iff all feasible sets have sizes of one parity."""
     if not s.is_proper:
         raise ImproperSystemError("evenness is undefined for improper systems")
-    it = s.feasible_masks()
-    parity = popcount(next(it)) & 1
-    return all(popcount(m) & 1 == parity for m in it)
+    ind = even_parity_indicator(s.n)
+    return s.bits & ind == 0 or s.bits & ~ind == 0
 
 
 def twist(s: SetSystem, mask: int) -> SetSystem:
@@ -268,23 +273,6 @@ def is_matroid(b: SetSystem) -> bool:
     return check_symmetric_exchange(b) is None
 
 
-def min_feasible_matroid(s: SetSystem, verify: bool = False) -> Matroid:
-    """Matroid whose bases are the minimum-size feasible sets of s.
-
-    With verify=True the delta-matroid precondition is checked explicitly.
-    """
-    if not s.is_proper:
-        raise ImproperSystemError("no feasible sets")
-    if verify and check_symmetric_exchange(s) is not None:
-        raise ValueError("input is not a delta-matroid")
-    rank = min(popcount(m) for m in s.feasible_masks())
-    bits = 0
-    for m in s.feasible_masks():
-        if popcount(m) == rank:
-            bits |= 1 << m
-    return Matroid(SetSystem(s.n, bits), rank)
-
-
 # --- shared set-system document format -------------------------------------
 #
 # {"n": <int>, "feasible": [<mask>, ...]} with masks strictly increasing.
@@ -331,10 +319,6 @@ def loads_system(text: str) -> SetSystem:
     except json.JSONDecodeError as exc:
         raise SystemFormatError(f"invalid JSON: {exc}") from None
     return system_from_dict(doc)
-
-
-def save_system(s: SetSystem, path: str | os.PathLike) -> None:
-    atomic_write_text(path, dumps_system(s) + "\n")
 
 
 def load_system(path: str | os.PathLike) -> SetSystem:

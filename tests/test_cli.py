@@ -99,6 +99,15 @@ class TestCount:
         assert "resource limit" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
 
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("count invariant violated")
+
+        monkeypatch.setattr(levels, "count_report", broken)
+        with pytest.raises(ValueError, match="count invariant violated"):
+            main(["count", "--max-n", "1"])
+        assert "error:" not in capsys.readouterr().err
+
     def test_oversized_ground_set(self, capsys):
         assert main(["count", "--max-n", "17"]) == 2
 
@@ -216,6 +225,17 @@ class TestEncodeDecode:
     def test_decode_rejects_bad_record(self, tmp_path, capsys):
         (tmp_path / "r.json").write_text('{"n": "nope"}')
         assert main(["decode", "--in", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("field, value", [("sigma", "7/3"), ("alpha", "1/100")])
+    def test_decode_rejects_wrong_parameters(self, even_file, field, value, tmp_path, capsys):
+        path, _ = even_file
+        record_path = tmp_path / "record.json"
+        assert main(["encode", "--in", path, "--out", str(record_path)]) == 0
+        doc = json.loads(record_path.read_text())
+        doc[field] = value
+        record_path.write_text(json.dumps(doc))
+        assert main(["decode", "--in", str(record_path)]) == 2
+        assert f"field '{field}' must be" in capsys.readouterr().err
 
     def test_decode_rejects_oversized_ground_set(self, tmp_path, capsys):
         record = {"n": 40, "parity": "even", "alpha": "1/41", "sigma": "1/100",

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from deltamatroid import levels
-from deltamatroid.setsystem import SetSystem, check_symmetric_exchange, compose, is_delta_matroid
+from deltamatroid.setsystem import (
+    SetSystem,
+    check_symmetric_exchange,
+    compose,
+    even_parity_indicator,
+    is_delta_matroid,
+)
 from deltamatroid.levels import (
     CacheFormatError,
     CacheInvariantError,
@@ -24,7 +30,6 @@ from deltamatroid.levels import (
     enumerate_level,
     gamma_value,
     cache_path,
-    even_parity_indicator,
     twist_permutation_canonical,
     twist_permutation_classes,
 )

@@ -19,13 +19,11 @@ from deltamatroid.setsystem import (
     dual,
     dumps_system,
     elements_of,
-    full_power_set,
     is_delta_matroid,
     is_even,
     is_matroid,
     loads_system,
     mask_of,
-    min_feasible_matroid,
     minor,
     popcount,
     twist,
@@ -134,6 +132,13 @@ class TestEvenness:
         t = twist(s, mask_of([1]))
         assert is_even(t)
         assert all(popcount(m) % 2 == 1 for m in t.feasible_masks())
+
+    @given(small_systems)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_size_parities(self, s):
+        if s.is_proper:
+            sizes = {len(f) % 2 for f in s.feasible_sets()}
+            assert is_even(s) == (len(sizes) == 1)
 
     @given(small_systems, st.integers(0, 15))
     @settings(max_examples=100, deadline=None)
@@ -269,18 +274,6 @@ class TestMatroids:
     def test_improper_raises(self):
         with pytest.raises(ImproperSystemError):
             is_matroid(SetSystem(2, 0))
-
-    def test_min_feasible_of_power_set(self):
-        m = min_feasible_matroid(full_power_set(2))
-        assert m.rank == 0 and m.system == sys_of(2, [])
-
-    def test_min_feasible_equicardinal(self):
-        m = min_feasible_matroid(sys_of(2, [1], [2]))
-        assert m.rank == 1 and m.system == sys_of(2, [1], [2])
-
-    def test_min_feasible_verification_flag(self):
-        with pytest.raises(ValueError):
-            min_feasible_matroid(sys_of(4, [1, 2], [3, 4]), verify=True)
 
     def test_matroid_dual(self):
         m = Matroid(sys_of(3, [1, 2], [1, 3], [2, 3]), 2)
