@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping
@@ -38,7 +37,7 @@ class ConstructionError(ValueError):
 
 
 class DegreeViolationError(ConstructionError):
-    """Vertex set exceeds the degree bound required by the chosen mode."""
+    """Vertex set induces a subgraph of the hypercube with a degree above one."""
 
 
 class StabilityViolationError(ConstructionError):
@@ -74,11 +73,6 @@ class VertexSet:
         return sorted(self.members)
 
 
-class ComplementMode(Enum):
-    STABLE = "stable"
-    DEGREE_ONE = "degree-one"
-
-
 def hypercube_neighbors(mask: int, n: int) -> Iterator[int]:
     for i in range(n):
         yield mask ^ (1 << i)
@@ -93,23 +87,15 @@ def qn_degree(v: VertexSet) -> int:
     return best
 
 
-def complement_delta_matroid(
-    v: VertexSet, mode: ComplementMode = ComplementMode.STABLE
-) -> SetSystem:
+def complement_delta_matroid(v: VertexSet) -> SetSystem:
     """Delta-matroid whose feasible sets are the hypercube vertices NOT in v.
 
-    Requires the subgraph induced by v to have maximum degree zero
-    (ComplementMode.STABLE) or at most one (ComplementMode.DEGREE_ONE,
-    which needs n >= 2).
+    Requires the subgraph induced by v to have maximum degree at most one
+    (stable sets are the degree-zero case).
     """
-    if mode is ComplementMode.DEGREE_ONE and v.n < 2:
-        raise ConstructionError("degree-one mode requires n >= 2")
     degree = qn_degree(v)
-    limit = {ComplementMode.STABLE: 0, ComplementMode.DEGREE_ONE: 1}[mode]
-    if degree > limit:
-        raise DegreeViolationError(
-            f"induced degree {degree} exceeds {limit} for mode {mode.value}"
-        )
+    if degree > 1:
+        raise DegreeViolationError(f"induced degree {degree} exceeds 1")
     bits = (1 << (1 << v.n)) - 1
     for m in v.members:
         bits &= ~(1 << m)
@@ -174,7 +160,7 @@ def sample_cut_construction(n: int, cut: int, seed: int) -> SetSystem:
     """Delta-matroid sampled from the cut construction (complement of a
     random degree-<=1 vertex set concentrated on one edge cut)."""
     v = sample_cut_vertices(n, cut, seed)
-    return complement_delta_matroid(v, ComplementMode.DEGREE_ONE)
+    return complement_delta_matroid(v)
 
 
 def cut_count_lower_bound_exact(n: int) -> Fraction:
@@ -263,10 +249,6 @@ def sparse_paving_matroid(spec: SparsePavingSpec) -> Matroid:
     return Matroid(SetSystem(spec.n, bits), spec.r)
 
 
-def uniform_matroid(n: int, r: int) -> Matroid:
-    return sparse_paving_matroid(SparsePavingSpec(n, r, VertexSet(n)))
-
-
 def stacked_even_delta_matroid(
     n: int, layers: Mapping[int, SparsePavingSpec]
 ) -> SetSystem:
@@ -321,14 +303,15 @@ def random_stacked_layers(n: int, seed: int) -> dict[int, SparsePavingSpec]:
     return layers
 
 
-def random_stable_set(n: int, seed: int, keep_probability: float = 0.5) -> VertexSet:
-    """Seeded random stable set in the hypercube (greedy over a shuffle)."""
+def random_stable_set(n: int, seed: int) -> VertexSet:
+    """Seeded random stable set in the hypercube: a shuffle of the vertices,
+    each kept with probability one half unless a neighbour was kept."""
     rng = random.Random(seed)
     order = list(range(1 << n))
     rng.shuffle(order)
     chosen: set[int] = set()
     for m in order:
-        if rng.random() < keep_probability and not any(
+        if rng.random() < 0.5 and not any(
             w in chosen for w in hypercube_neighbors(m, n)
         ):
             chosen.add(m)

@@ -13,7 +13,6 @@ upper bound on the number of even delta-matroids.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import os
@@ -27,7 +26,6 @@ from .setsystem import (
     ImproperSystemError,
     SetSystem,
     SystemFormatError,
-    atomic_write_text,
     is_even,
     popcount,
     twist,
@@ -48,61 +46,22 @@ class Parity(Enum):
 
 
 # --- the distance-2 graph and its spectrum ------------------------------------
+#
+# The peel runs on the even component of the distance-2 graph of the n-cube
+# (the halved cube) without building it: vertex m has index m >> 1 and its
+# C(n, 2) neighbours are m ^ f over the pair masks f.
 
-@dataclass(frozen=True)
-class RegularGraph:
-    """A d-regular graph with a fixed total vertex ordering.
+def even_masks(n: int) -> list[int]:
+    """The 2^(n-1) even-size masks below 2^n, ascending.
 
-    ``vertices`` lists vertex names (masks) in the tie-breaking order;
-    ``adjacency[i]`` holds the neighbor indices of vertex i.
+    The i-th is (i << 1) | parity(i), so mask m sits at index m >> 1.
     """
-
-    vertices: tuple[int, ...]
-    adjacency: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) != len(self.adjacency):
-            raise EncodingError("adjacency size mismatch")
-        degrees = {len(row) for row in self.adjacency}
-        if len(degrees) > 1:
-            raise EncodingError(f"graph is not regular: degrees {sorted(degrees)}")
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def degree(self) -> int:
-        return len(self.adjacency[0]) if self.adjacency else 0
-
-    def index_of(self, mask: int) -> int:
-        i = bisect.bisect_left(self.vertices, mask)
-        if i == len(self.vertices) or self.vertices[i] != mask:
-            raise EncodingError(f"mask {mask} is not a vertex")
-        return i
+    return [(i << 1) | (i.bit_count() & 1) for i in range(1 << (n - 1))]
 
 
 def _pair_masks(n: int) -> list[int]:
     """Masks of the C(n, 2) two-element subsets, in lexicographic order."""
     return [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
-
-
-def halved_cube(n: int) -> RegularGraph:
-    """The even component of the distance-2 graph of the n-cube.
-
-    Vertices are the 2^(n-1) even-size masks, in ascending order; two are
-    adjacent when they differ in exactly two bits.  The graph is regular
-    of degree C(n, 2).
-    """
-    if n < 2:
-        raise EncodingError("component graph needs n >= 2")
-    vertices = tuple(m for m in range(1 << n) if popcount(m) & 1 == 0)
-    index = {m: i for i, m in enumerate(vertices)}
-    flips = _pair_masks(n)
-    adjacency = tuple(
-        tuple(index[m ^ f] for f in flips) for m in vertices
-    )
-    return RegularGraph(vertices, adjacency)
 
 
 def halved_cube_spectrum(n: int) -> list[int]:
@@ -131,71 +90,70 @@ class KWResult:
     a: tuple[int, ...]
 
 
-def _peel(graph: RegularGraph, alpha: Fraction, members: set[int]) -> KWResult:
-    """Peel the graph against the vertex set ``members``.
+def _peel(n: int, members: set[int]) -> KWResult:
+    """Peel the halved cube on n elements against the vertex set ``members``.
 
     At each step the highest-degree vertex of the surviving induced
-    subgraph is examined (ties to the earliest vertex in the fixed order).
-    A member is appended to S and removed together with its surviving
-    neighbours; a non-member is removed alone.  Stops once the survivor
-    count is at most alpha * N.
+    subgraph is examined (ties to the smallest mask).  A member is appended
+    to S and removed together with its surviving neighbours; a non-member
+    is removed alone.  Stops once the survivor count is at most alpha * N,
+    with alpha = component_alpha(n).  A removed vertex has degree -1, so
+    the first maximum of ``degree`` is the vertex to examine.
     """
-    if not 0 < alpha < 1:
-        raise EncodingError(f"alpha must be in (0, 1), got {alpha}")
-    count = graph.n_vertices
-    alive = [True] * count
-    degree = [graph.degree] * count
+    if n < 2:
+        raise EncodingError("component graph needs n >= 2")
+    flips = _pair_masks(n)
+    vertices = even_masks(n)
+    count = len(vertices)
+    degree = [len(flips)] * count
     survivors = count
-    threshold = alpha * count
+    threshold = component_alpha(n) * count
     s: list[int] = []
 
-    def remove(idx: int) -> None:
+    def remove(mask: int) -> None:
         nonlocal survivors
-        alive[idx] = False
+        degree[mask >> 1] = -1
         survivors -= 1
-        for nb in graph.adjacency[idx]:
-            if alive[nb]:
-                degree[nb] -= 1
+        for f in flips:
+            j = (mask ^ f) >> 1
+            if degree[j] >= 0:
+                degree[j] -= 1
 
     while survivors > threshold:
-        best = -1
-        best_deg = -1
-        for idx in range(count):
-            if alive[idx] and degree[idx] > best_deg:
-                best, best_deg = idx, degree[idx]
-        mask = graph.vertices[best]
+        mask = vertices[degree.index(max(degree))]
         if mask in members:
             s.append(mask)
-            neighbours = [nb for nb in graph.adjacency[best] if alive[nb]]
-            remove(best)
+            neighbours = [mask ^ f for f in flips if degree[(mask ^ f) >> 1] >= 0]
+            remove(mask)
             for nb in neighbours:
                 remove(nb)
         else:
-            remove(best)
-    a = tuple(graph.vertices[i] for i in range(count) if alive[i])
+            remove(mask)
+    a = tuple(m for m in vertices if degree[m >> 1] >= 0)
     return KWResult(tuple(s), a)
 
 
-def kw_encode(graph: RegularGraph, l_set, alpha: Fraction) -> KWResult:
-    """Run the peeling procedure against a target vertex set L.
+def kw_encode(n: int, l_set) -> KWResult:
+    """Run the peeling procedure against a target set L of even masks.
 
     Postconditions: S is a subsequence of L; every L-vertex is in S, a
     neighbour of S, or the residue A; |A| <= alpha * N.
     """
     members = set(l_set)
     for m in members:
-        graph.index_of(m)
-    return _peel(graph, alpha, members)
+        if not 0 <= m < (1 << n) or popcount(m) & 1:
+            raise EncodingError(f"mask {m} is not an even mask below 2^{n}")
+    return _peel(n, members)
 
 
-def kw_reconstruct(graph: RegularGraph, s: tuple[int, ...], alpha: Fraction) -> tuple[int, ...]:
+def kw_reconstruct(n: int, s: tuple[int, ...]) -> tuple[int, ...]:
     """Replay the procedure from S alone and return the residue A.
 
     Peeling against S itself selects S again, in order, whenever S came
     from some L; so the residue is independent of which L produced S, and
     the record does not need to transmit it.
     """
-    result = _peel(graph, alpha, set(s))
+    result = _peel(n, set(s))
     if result.s != tuple(s):
         raise InconsistentPrefixError(
             "the claimed selection is not reproduced by peeling against it"
@@ -369,10 +327,8 @@ def encode_even_system(d: SetSystem) -> EncodingRecord:
     if popcount(next(d.feasible_masks())) & 1:
         parity = Parity.ODD
         d = twist(d, 1)
-    graph = halved_cube(d.n)
-    feasible = set(d.feasible_masks())
-    l_set = [m for m in graph.vertices if m not in feasible]
-    result = kw_encode(graph, l_set, component_alpha(d.n))
+    l_set = [m for m in even_masks(d.n) if not (d.bits >> m) & 1]
+    result = _peel(d.n, set(l_set))
     in_a = set(result.a)
     covers = tuple(local_cover(d, x) for x in result.s)
     residual = tuple(m for m in l_set if m in in_a)
@@ -387,8 +343,7 @@ def encode_even_system(d: SetSystem) -> EncodingRecord:
 
 def decode_even_system(record: EncodingRecord) -> tuple[int, ...]:
     """Reconstruct the infeasible even-mask family from a record."""
-    graph = halved_cube(record.n)
-    residue = set(kw_reconstruct(graph, record.s, record.alpha))
+    residue = set(kw_reconstruct(record.n, record.s))
     for m in record.residual:
         if m not in residue:
             raise EncodingError(f"residual mask {m} is outside the residue set")
@@ -409,8 +364,8 @@ def reconstruct_system(record: EncodingRecord) -> SetSystem:
     """Rebuild the original delta-matroid a record was produced from."""
     infeasible = set(decode_even_system(record))
     bits = 0
-    for m in range(1 << record.n):
-        if popcount(m) & 1 == 0 and m not in infeasible:
+    for m in even_masks(record.n):
+        if m not in infeasible:
             bits |= 1 << m
     if bits == 0:
         raise ImproperSystemError("record decodes to an empty family")
@@ -444,23 +399,46 @@ def record_from_dict(doc: object) -> EncodingRecord:
         )
     try:
         parity = Parity(doc["parity"])
-        stated = {name: Fraction(doc[name]) for name in ("alpha", "sigma")}
-        s = tuple(int(m) for m in doc["s"])
+        s = _int_array(doc["s"], "field 's'")
+        if not isinstance(doc["covers"], list):
+            raise SystemFormatError("field 'covers' must be an array of partitions")
         covers = tuple(
-            Partition(n, tuple(frozenset(block) for block in blocks))
-            for blocks in doc["covers"]
+            _cover_from_doc(n, blocks, i) for i, blocks in enumerate(doc["covers"])
         )
-        residual = tuple(int(m) for m in doc["residual"])
+        residual = _int_array(doc["residual"], "field 'residual'")
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemFormatError(f"bad record document: {exc}") from None
     record = EncodingRecord(n, parity, s, covers, residual)
-    for name, value in stated.items():
-        expected = getattr(record, name)
-        if value != expected:
+    for name in ("alpha", "sigma"):
+        expected = str(getattr(record, name))
+        if doc.get(name) != expected:
             raise SystemFormatError(
-                f"field {name!r} must be {expected} for n={n}, got {doc[name]!r}"
+                f"field {name!r} must be {expected!r} for n={n}, got {doc.get(name)!r}"
             )
     return record
+
+
+def _int_array(value: object, name: str) -> tuple[int, ...]:
+    """A JSON array of JSON integers (booleans excluded), as a tuple."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    ):
+        raise SystemFormatError(f"{name} must be an array of integers")
+    return tuple(value)
+
+
+def _cover_from_doc(n: int, blocks: object, i: int) -> Partition:
+    """covers[i] of a record document: an array of blocks, each an array of
+    distinct integers."""
+    if not isinstance(blocks, list):
+        raise SystemFormatError(f"covers[{i}] must be an array of blocks")
+    parts = []
+    for block in blocks:
+        elements = _int_array(block, f"a block of covers[{i}]")
+        if len(set(elements)) != len(elements):
+            raise SystemFormatError(f"a block of covers[{i}] repeats an element")
+        parts.append(frozenset(elements))
+    return Partition(n, tuple(parts))
 
 
 def dumps_record(record: EncodingRecord) -> str:
@@ -473,10 +451,6 @@ def loads_record(text: str) -> EncodingRecord:
     except json.JSONDecodeError as exc:
         raise SystemFormatError(f"invalid JSON: {exc}") from None
     return record_from_dict(doc)
-
-
-def save_record(record: EncodingRecord, path: str | os.PathLike) -> None:
-    atomic_write_text(path, dumps_record(record))
 
 
 def load_record(path: str | os.PathLike) -> EncodingRecord:

@@ -158,29 +158,27 @@ def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
 
     Returns None when the system is a delta-matroid, otherwise the first
     violating triple in ascending (X, Y, e) order, which makes witnesses
-    reproducible across runs.
+    reproducible across runs.  Only positions p whose single flip X ^ {p}
+    is infeasible can violate: otherwise p itself is an allowed partner.
     """
     if not s.is_proper:
         raise ImproperSystemError("symmetric exchange is undefined for improper systems")
     bits = s.bits
     n = s.n
     feas = list(s.feasible_masks())
-    allowed_cache: dict[tuple[int, int], int] = {}
     for x in feas:
+        blocked = [
+            (1 << p, _allowed_exchange_mask(bits, n, x, p))
+            for p in range(n)
+            if not (bits >> (x ^ (1 << p))) & 1
+        ]
+        if not blocked:
+            continue
         for y in feas:
             d = x ^ y
-            rest = d
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                p = low.bit_length() - 1
-                key = (x, p)
-                allowed = allowed_cache.get(key)
-                if allowed is None:
-                    allowed = _allowed_exchange_mask(bits, n, x, p)
-                    allowed_cache[key] = allowed
-                if d & allowed == 0:
-                    return ExchangeWitness(x=x, y=y, e=p + 1)
+            for flip, allowed in blocked:
+                if d & flip and not d & allowed:
+                    return ExchangeWitness(x=x, y=y, e=flip.bit_length())
     return None
 
 

@@ -8,6 +8,8 @@ decision procedure.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,23 @@ def oracle_is_delta_matroid(n: int, feasible_masks) -> bool:
     return True
 
 
+def oracle_first_witness(n: int, feasible_masks) -> tuple[int, int, int] | None:
+    """First violation (X, Y, e) of symmetric exchange, or None.
+
+    Triples are ordered by X, then Y (both by subset mask), then e, all
+    ascending; X and Y are returned as masks and e as a 1-based element.
+    """
+    family = {mask_to_set(m) for m in feasible_masks}
+    ordered = sorted(family, key=set_to_mask)
+    for x in ordered:
+        for y in ordered:
+            diff = x ^ y
+            for e in sorted(diff):
+                if not any((x ^ {e, f}) in family for f in diff):
+                    return set_to_mask(x), set_to_mask(y), e
+    return None
+
+
 def oracle_level_list(n: int) -> list[int]:
     """All delta-matroid feasibility vectors on {1..n} by brute force."""
     out = []
@@ -80,6 +99,42 @@ def distance_two_matrix_identity(n: int) -> bool:
     lhs = 2 * (dist == 2).astype(np.int64)
     rhs = a @ a - n * np.eye(1 << n, dtype=np.int64)
     return bool(np.array_equal(lhs, rhs))
+
+
+RECORD_TAMPERS = (
+    "float-mask",
+    "s-object",
+    "string-residual",
+    "float-element",
+    "bool-element",
+    "repeated-element",
+    "unreduced-alpha",
+)
+
+
+def tamper_record(doc: dict, how: str) -> dict:
+    """A copy of a record document rewritten so that a parser coercing with
+    int(), frozenset() or Fraction() would read back the same record.
+
+    Needs a record with a non-empty selection and residual.
+    """
+    doc = json.loads(json.dumps(doc))
+    if how == "float-mask":
+        doc["s"][0] += 0.9
+    elif how == "s-object":
+        doc["s"] = {str(m): i for i, m in enumerate(doc["s"])}
+    elif how == "string-residual":
+        doc["residual"] = [str(m) for m in doc["residual"]]
+    elif how == "unreduced-alpha":
+        num, den = doc["alpha"].split("/")
+        doc["alpha"] = f"{2 * int(num)}/{2 * int(den)}"
+    else:
+        block = next(b for b in doc["covers"][0] if 1 in b)
+        if how == "repeated-element":
+            block.append(1)
+        else:
+            block[block.index(1)] = {"float-element": 1.0, "bool-element": True}[how]
+    return doc
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ import pytest
 from deltamatroid.setsystem import is_delta_matroid, is_even, twist
 from deltamatroid.levels import count_even, count_report
 from deltamatroid.constructions import (
-    ComplementMode,
     VertexSet,
     complement_delta_matroid,
     cut_count_lower_bound,
@@ -27,11 +26,12 @@ from deltamatroid.constructions import (
     stacked_even_delta_matroid,
 )
 from deltamatroid.encoding import (
+    _pair_masks,
     component_alpha,
     cover_certifies,
     decode_even_system,
     encode_even_system,
-    halved_cube,
+    even_masks,
     kw_encode,
     kw_reconstruct,
     local_cover,
@@ -147,12 +147,12 @@ def test_ac05_construction_soundness():
         if any((m ^ (1 << i)) in members for m in members for i in range(3)):
             continue
         total_q3 += 1
-        d = complement_delta_matroid(VertexSet(3, members), ComplementMode.STABLE)
+        d = complement_delta_matroid(VertexSet(3, members))
         if not is_delta_matroid(d):
             failures += 1
     # (a') one thousand random stable sets of the 5-cube
     for seed in range(1000):
-        d = complement_delta_matroid(random_stable_set(5, seed), ComplementMode.STABLE)
+        d = complement_delta_matroid(random_stable_set(5, seed))
         if not is_delta_matroid(d):
             failures += 1
     # (b) one thousand seeded cut samples at n=5
@@ -199,27 +199,25 @@ def test_ac08_container_properties():
     failures = 0
     rng = random.Random(88888)
     for n in (5, 6, 7, 8):
-        graph = halved_cube(n)
+        vertices = even_masks(n)
         alpha = component_alpha(n)
         bound = s_length_bound(n)
         for _ in range(500):
             density = rng.random()
-            l_set = {v for v in graph.vertices if rng.random() < density}
-            result = kw_encode(graph, l_set, alpha)
+            l_set = {v for v in vertices if rng.random() < density}
+            result = kw_encode(n, l_set)
             covered = set(result.s) | set(result.a)
             for m in result.s:
-                covered.update(
-                    graph.vertices[j] for j in graph.adjacency[graph.index_of(m)]
-                )
+                covered.update(m ^ f for f in _pair_masks(n))
             if not set(result.s) <= l_set:
                 failures += 1
             elif not l_set <= covered:
                 failures += 1
-            elif len(result.a) > alpha * graph.n_vertices:
+            elif len(result.a) > alpha * len(vertices):
                 failures += 1
             elif len(result.s) > bound:
                 failures += 1
-            elif kw_reconstruct(graph, result.s, alpha) != result.a:
+            elif kw_reconstruct(n, result.s) != result.a:
                 failures += 1
     report(
         "8 container-procedure properties",

@@ -20,6 +20,7 @@ from deltamatroid.setsystem import (
     loads_system,
 )
 from deltamatroid.levels import cache_path
+from tests.conftest import RECORD_TAMPERS, tamper_record
 
 
 @pytest.fixture(autouse=True)
@@ -236,6 +237,15 @@ class TestEncodeDecode:
         record_path.write_text(json.dumps(doc))
         assert main(["decode", "--in", str(record_path)]) == 2
         assert f"field '{field}' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", RECORD_TAMPERS)
+    def test_decode_rejects_coerced_values(self, how, tmp_path, capsys):
+        system = stacked_even_delta_matroid(6, random_stacked_layers(6, 1))
+        doc = json.loads(encoding.dumps_record(encoding.encode_even_system(system)))
+        record_path = tmp_path / "record.json"
+        record_path.write_text(json.dumps(tamper_record(doc, how)))
+        assert main(["decode", "--in", str(record_path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_decode_rejects_oversized_ground_set(self, tmp_path, capsys):
         record = {"n": 40, "parity": "even", "alpha": "1/41", "sigma": "1/100",

@@ -17,7 +17,6 @@ from deltamatroid.setsystem import (
     is_matroid,
 )
 from deltamatroid.constructions import (
-    ComplementMode,
     ConstructionError,
     DegreeViolationError,
     LayerError,
@@ -40,7 +39,6 @@ from deltamatroid.constructions import (
     sample_cut_vertices,
     sparse_paving_matroid,
     stacked_even_delta_matroid,
-    uniform_matroid,
 )
 from tests.conftest import oracle_is_delta_matroid
 
@@ -86,40 +84,55 @@ class TestCubeBasics:
 class TestComplement:
     def test_two_element_example(self):
         v = VertexSet(2, frozenset({0b00, 0b11}))
-        d = complement_delta_matroid(v, ComplementMode.STABLE)
+        d = complement_delta_matroid(v)
         assert sorted(d.feasible_masks()) == [0b01, 0b10]
         assert is_delta_matroid(d)
 
     def test_empty_set_gives_power_set(self):
-        d = complement_delta_matroid(VertexSet(3), ComplementMode.STABLE)
+        d = complement_delta_matroid(VertexSet(3))
         assert d.num_feasible == 8
         assert is_delta_matroid(d)
 
-    def test_stable_mode_rejects_an_edge(self):
-        v = VertexSet(2, frozenset({0b00, 0b01}))
-        with pytest.raises(DegreeViolationError):
-            complement_delta_matroid(v, ComplementMode.STABLE)
-
     def test_degree_one_mode_accepts_a_matching(self):
         v = VertexSet(2, frozenset({0b00, 0b01}))
-        d = complement_delta_matroid(v, ComplementMode.DEGREE_ONE)
+        d = complement_delta_matroid(v)
         assert sorted(d.feasible_masks()) == [0b10, 0b11]
         assert is_delta_matroid(d)
 
     def test_degree_one_mode_rejects_a_path(self):
         v = VertexSet(2, frozenset({0b00, 0b01, 0b11}))
         with pytest.raises(DegreeViolationError):
-            complement_delta_matroid(v, ComplementMode.DEGREE_ONE)
-
-    def test_degree_one_mode_needs_two_elements(self):
-        with pytest.raises(ConstructionError):
-            complement_delta_matroid(VertexSet(1), ComplementMode.DEGREE_ONE)
+            complement_delta_matroid(v)
 
     def test_full_cover_is_improper(self):
-        # only the trivial cube can be fully covered at degree zero
-        v = VertexSet(0, frozenset({0}))
-        with pytest.raises(ImproperSystemError):
-            complement_delta_matroid(v, ComplementMode.STABLE)
+        # only Q_0 and Q_1 can be fully covered at induced degree <= 1
+        for v in (VertexSet(0, frozenset({0})), VertexSet(1, frozenset({0, 1}))):
+            with pytest.raises(ImproperSystemError):
+                complement_delta_matroid(v)
+
+    @pytest.mark.parametrize("n, expected", [(3, 77), (4, 3055)])
+    def test_every_degree_one_complement_is_delta_matroid(self, n, expected):
+        # every vertex set of Q_n of induced degree <= 1: along each
+        # coordinate i, ``along`` marks the members whose i-neighbour is a
+        # member too, and no member may be marked along two coordinates
+        lower = [
+            sum(1 << m for m in range(1 << n) if not m >> i & 1) for i in range(n)
+        ]
+        count = 0
+        for bits in range(1 << (1 << n)):
+            marked = 0
+            for i, low in enumerate(lower):
+                w = 1 << i
+                along = bits & (((bits & low) << w) | ((bits >> w) & low))
+                if marked & along:
+                    break
+                marked |= along
+            else:
+                members = frozenset(m for m in range(1 << n) if bits >> m & 1)
+                d = complement_delta_matroid(VertexSet(n, members))
+                assert oracle_is_delta_matroid(n, d.feasible_masks())
+                count += 1
+        assert count == expected
 
     def test_every_stable_complement_in_q3_is_delta_matroid(self):
         count = 0
@@ -129,7 +142,7 @@ class TestComplement:
                 u in members for m in members for u in hypercube_neighbors(m, 3)
             ):
                 continue
-            d = complement_delta_matroid(VertexSet(3, members), ComplementMode.STABLE)
+            d = complement_delta_matroid(VertexSet(3, members))
             assert oracle_is_delta_matroid(3, list(d.feasible_masks()))
             count += 1
         assert count > 1
@@ -305,7 +318,6 @@ class TestGrahamSloane:
 class TestSparsePaving:
     def test_uniform_from_empty_spec(self):
         m = sparse_paving_matroid(SparsePavingSpec(4, 2, VertexSet(4)))
-        assert m == uniform_matroid(4, 2)
         assert sorted(m.bases()) == [
             0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100,
         ]

@@ -25,7 +25,7 @@ from deltamatroid.encoding import (
     KWResult,
     Parity,
     Partition,
-    RegularGraph,
+    _pair_masks,
     bell_number,
     component_alpha,
     component_sigma,
@@ -34,7 +34,7 @@ from deltamatroid.encoding import (
     dumps_record,
     encode_even_system,
     eigenvalue_gap,
-    halved_cube,
+    even_masks,
     halved_cube_spectrum,
     kw_encode,
     kw_reconstruct,
@@ -43,12 +43,17 @@ from deltamatroid.encoding import (
     local_cover,
     reconstruct_system,
     s_length_bound,
-    save_record,
     single_block_partition,
     smallest_eigenvalue,
     upper_bound_report,
 )
-from tests.conftest import cube_adjacency_matrix, distance_two_matrix_identity
+from tests.conftest import (
+    RECORD_TAMPERS,
+    cube_adjacency_matrix,
+    cube_distances,
+    distance_two_matrix_identity,
+    tamper_record,
+)
 
 
 def popcount(x: int) -> int:
@@ -57,33 +62,30 @@ def popcount(x: int) -> int:
 
 class TestHalvedCube:
     def test_small_vertices(self):
-        g = halved_cube(3)
-        assert g.vertices == (0b000, 0b011, 0b101, 0b110)
+        assert even_masks(3) == [0b000, 0b011, 0b101, 0b110]
 
     def test_regular_of_choose_two(self):
-        for n in range(2, 9):
-            g = halved_cube(n)
-            assert g.n_vertices == 1 << (n - 1)
-            assert g.degree == math.comb(n, 2)
+        # the 2^(n-1) even masks, ascending; mask m sits at index m >> 1
+        for n in range(2, 11):
+            vertices = even_masks(n)
+            assert vertices == [m for m in range(1 << n) if popcount(m) % 2 == 0]
+            assert [m >> 1 for m in vertices] == list(range(1 << (n - 1)))
 
     def test_adjacency_is_distance_two(self):
-        g = halved_cube(4)
-        for i, m in enumerate(g.vertices):
-            for j in g.adjacency[i]:
-                assert popcount(m ^ g.vertices[j]) == 2
+        # the neighbours m ^ pair are C(n, 2) distinct vertices at distance 2
+        for n in range(2, 9):
+            vertices = even_masks(n)
+            pairs = _pair_masks(n)
+            assert len(set(pairs)) == math.comb(n, 2)
+            for m in vertices:
+                neighbours = {m ^ f for f in pairs}
+                assert len(neighbours) == math.comb(n, 2)
+                assert all(popcount(m ^ w) == 2 for w in neighbours)
+                assert all(vertices[w >> 1] == w for w in neighbours)
 
     def test_needs_two_elements(self):
         with pytest.raises(EncodingError):
-            halved_cube(1)
-
-    def test_index_of_rejects_non_vertices(self):
-        g = halved_cube(3)
-        with pytest.raises(EncodingError):
-            g.index_of(0b001)
-
-    def test_irregular_graph_rejected(self):
-        with pytest.raises(EncodingError):
-            RegularGraph((0, 1, 2), ((1,), (0, 2), (1,)))
+            kw_encode(1, set())
 
 
 class TestSpectrum:
@@ -112,12 +114,8 @@ class TestSpectrum:
 
     def test_matches_numeric_eigenvalues(self):
         for n in range(2, 7):
-            g = halved_cube(n)
-            size = g.n_vertices
-            mat = np.zeros((size, size))
-            for i, row in enumerate(g.adjacency):
-                for j in row:
-                    mat[i, j] = 1.0
+            even = np.array(even_masks(n))
+            mat = (cube_distances(n)[np.ix_(even, even)] == 2).astype(float)
             numeric = np.linalg.eigvalsh(mat)
             assert set(halved_cube_spectrum(n)) == {
                 int(round(v)) for v in numeric
@@ -127,87 +125,71 @@ class TestSpectrum:
 
 class TestPeeling:
     @staticmethod
-    def check_postconditions(g: RegularGraph, l_set: set[int], result: KWResult, alpha):
+    def check_postconditions(n: int, l_set: set[int], result: KWResult):
         assert set(result.s) <= l_set
         covered = set(result.s) | set(result.a)
         for m in result.s:
-            covered.update(g.vertices[j] for j in g.adjacency[g.index_of(m)])
+            covered.update(m ^ f for f in _pair_masks(n))
         assert l_set <= covered
-        assert len(result.a) <= alpha * g.n_vertices
+        assert len(result.a) <= component_alpha(n) * (1 << (n - 1))
 
     def test_empty_target(self):
-        g = halved_cube(5)
         alpha = component_alpha(5)
-        result = kw_encode(g, set(), alpha)
+        result = kw_encode(5, set())
         assert result.s == ()
-        expected_removals = math.ceil((1 - alpha) * g.n_vertices)
-        assert len(result.a) == g.n_vertices - expected_removals
-        assert kw_reconstruct(g, (), alpha) == result.a
+        expected_removals = math.ceil((1 - alpha) * 16)
+        assert len(result.a) == 16 - expected_removals
+        assert kw_reconstruct(5, ()) == result.a
 
     def test_full_target(self):
-        g = halved_cube(5)
-        alpha = component_alpha(5)
-        l_set = set(g.vertices)
-        result = kw_encode(g, l_set, alpha)
-        self.check_postconditions(g, l_set, result, alpha)
+        l_set = set(even_masks(5))
+        result = kw_encode(5, l_set)
+        self.check_postconditions(5, l_set, result)
         assert len(result.s) <= s_length_bound(5)
 
     def test_random_targets_many_sizes(self):
         rng = random.Random(424242)
         for n in (5, 6, 7):
-            g = halved_cube(n)
-            alpha = component_alpha(n)
             for _ in range(60):
-                l_set = {v for v in g.vertices if rng.random() < rng.random()}
-                result = kw_encode(g, l_set, alpha)
-                self.check_postconditions(g, l_set, result, alpha)
+                l_set = {v for v in even_masks(n) if rng.random() < rng.random()}
+                result = kw_encode(n, l_set)
+                self.check_postconditions(n, l_set, result)
                 assert len(result.s) <= s_length_bound(n)
-                assert kw_reconstruct(g, result.s, alpha) == result.a
-
-    def test_alpha_validation(self):
-        g = halved_cube(4)
-        with pytest.raises(EncodingError):
-            kw_encode(g, set(), Fraction(0))
-        with pytest.raises(EncodingError):
-            kw_encode(g, set(), Fraction(3, 2))
+                assert kw_reconstruct(n, result.s) == result.a
 
     def test_target_must_be_vertices(self):
-        g = halved_cube(4)
         with pytest.raises(EncodingError):
-            kw_encode(g, {0b0001}, Fraction(1, 4))
+            kw_encode(4, {0b0001})  # odd size
+        with pytest.raises(EncodingError):
+            kw_encode(4, {0b10001})  # even size, but not below 2^4
+        with pytest.raises(EncodingError):
+            kw_encode(4, {-3})
 
     def test_reconstruct_rejects_reordered_s(self):
-        g = halved_cube(6)
-        alpha = component_alpha(6)
-        l_set = set(g.vertices)
-        result = kw_encode(g, l_set, alpha)
+        result = kw_encode(6, set(even_masks(6)))
         assert len(result.s) >= 2
         swapped = (result.s[1], result.s[0], *result.s[2:])
         with pytest.raises(InconsistentPrefixError):
-            kw_reconstruct(g, swapped, alpha)
+            kw_reconstruct(6, swapped)
 
     def test_reconstruct_rejects_unreachable_claim(self):
         # appending a vertex that the replay removes as someone's neighbour
         # (it never shows up as a max-degree pick) cannot be selected
-        g = halved_cube(6)
-        alpha = component_alpha(6)
-        result = kw_encode(g, set(g.vertices), alpha)
+        result = kw_encode(6, set(even_masks(6)))
         # L is every vertex, so each examined vertex was selected into S
         examined = set(result.s)
         swallowed = next(
-            v for v in g.vertices if v not in examined and v not in result.a
+            v for v in even_masks(6) if v not in examined and v not in result.a
         )
         with pytest.raises(InconsistentPrefixError):
-            kw_reconstruct(g, result.s + (swallowed,), alpha)
+            kw_reconstruct(6, result.s + (swallowed,))
 
     def test_identical_s_gives_identical_a(self):
-        g = halved_cube(6)
-        alpha = component_alpha(6)
         rng = random.Random(7)
         by_s: dict[tuple[int, ...], tuple[int, ...]] = {}
         for _ in range(200):
-            l_set = {v for v in g.vertices if rng.random() < 0.1}
-            result = kw_encode(g, l_set, alpha)
+            l_set = {v for v in even_masks(6) if rng.random() < 0.1}
+            result = kw_encode(6, l_set)
             if result.s in by_s:
                 assert by_s[result.s] == result.a
             by_s[result.s] = result.a
@@ -358,7 +340,7 @@ class TestRecords:
         again = loads_record(dumps_record(record))
         assert again == record
         path = tmp_path / "record.json"
-        save_record(record, path)
+        path.write_text(dumps_record(record))
         assert load_record(path) == record
         assert reconstruct_system(again) == d
 
@@ -383,6 +365,16 @@ class TestRecords:
         doc[field] = value
         with pytest.raises(SystemFormatError, match=field):
             loads_record(json.dumps(doc))
+
+    @pytest.mark.parametrize("how", RECORD_TAMPERS)
+    def test_rejects_coerced_values(self, how):
+        # the field values must be JSON integers and the exact parameter
+        # strings, not anything that converts to them
+        record = encode_even_system(stacked_even_delta_matroid(6, random_stacked_layers(6, 1)))
+        doc = json.loads(dumps_record(record))
+        assert loads_record(json.dumps(doc)) == record
+        with pytest.raises(SystemFormatError):
+            loads_record(json.dumps(tamper_record(doc, how)))
 
     # SHA-256 of dumps_record(encode_even_system(...)) for seeded stacked-even
     # systems: records must stay byte-identical across refactors
@@ -412,9 +404,9 @@ class TestRecords:
     def test_decode_rejects_residual_outside_residue(self):
         d = stacked_even_delta_matroid(5, random_stacked_layers(5, 3))
         record = encode_even_system(d)
-        residue = set(kw_reconstruct(halved_cube(5), record.s, record.alpha))
+        residue = set(kw_reconstruct(5, record.s))
         outside = next(
-            m for m in halved_cube(5).vertices
+            m for m in even_masks(5)
             if m not in residue and m not in record.residual
         )
         bad = EncodingRecord(

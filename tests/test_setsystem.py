@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from deltamatroid.setsystem import (
     popcount,
     twist,
 )
-from conftest import oracle_is_delta_matroid
+from conftest import oracle_first_witness, oracle_is_delta_matroid
 
 
 def sys_of(n, *sets):
@@ -96,6 +97,22 @@ class TestExchangeCheck:
                 if check_symmetric_exchange(SetSystem(n, bits)) is None
             ]
             assert got == expected
+
+    def test_witness_is_first_in_order(self):
+        # the witness is the first violation in ascending (X, Y, e) order
+        def agree(s):
+            witness = check_symmetric_exchange(s)
+            got = None if witness is None else (witness.x, witness.y, witness.e)
+            assert got == oracle_first_witness(s.n, s.feasible_masks()), s
+        for n in range(4):
+            for bits in range(1, 1 << (1 << n)):
+                agree(SetSystem(n, bits))
+        rng = random.Random(6060)
+        for _ in range(5000):
+            n = rng.randint(4, 6)
+            density = rng.random()
+            bits = sum(1 << m for m in range(1 << n) if rng.random() < density)
+            agree(SetSystem(n, bits or 1))
 
     @given(small_systems)
     @settings(max_examples=150, deadline=None)
