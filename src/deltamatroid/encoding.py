@@ -133,19 +133,6 @@ def _peel(n: int, members: set[int]) -> KWResult:
     return KWResult(tuple(s), a)
 
 
-def kw_encode(n: int, l_set) -> KWResult:
-    """Run the peeling procedure against a target set L of even masks.
-
-    Postconditions: S is a subsequence of L; every L-vertex is in S, a
-    neighbour of S, or the residue A; |A| <= alpha * N.
-    """
-    members = set(l_set)
-    for m in members:
-        if not 0 <= m < (1 << n) or popcount(m) & 1:
-            raise EncodingError(f"mask {m} is not an even mask below 2^{n}")
-    return _peel(n, members)
-
-
 def kw_reconstruct(n: int, s: tuple[int, ...]) -> tuple[int, ...]:
     """Replay the procedure from S alone and return the residue A.
 
@@ -406,6 +393,8 @@ def record_from_dict(doc: object) -> EncodingRecord:
             _cover_from_doc(n, blocks, i) for i, blocks in enumerate(doc["covers"])
         )
         residual = _int_array(doc["residual"], "field 'residual'")
+        if any(a >= b for a, b in zip(residual, residual[1:])):
+            raise SystemFormatError("field 'residual' must be strictly ascending")
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemFormatError(f"bad record document: {exc}") from None
     record = EncodingRecord(n, parity, s, covers, residual)
@@ -429,16 +418,16 @@ def _int_array(value: object, name: str) -> tuple[int, ...]:
 
 def _cover_from_doc(n: int, blocks: object, i: int) -> Partition:
     """covers[i] of a record document: an array of blocks, each an array of
-    distinct integers."""
+    integers, written exactly as Partition.sorted_blocks() writes them."""
     if not isinstance(blocks, list):
         raise SystemFormatError(f"covers[{i}] must be an array of blocks")
-    parts = []
-    for block in blocks:
-        elements = _int_array(block, f"a block of covers[{i}]")
-        if len(set(elements)) != len(elements):
-            raise SystemFormatError(f"a block of covers[{i}] repeats an element")
-        parts.append(frozenset(elements))
-    return Partition(n, tuple(parts))
+    parts = tuple(frozenset(_int_array(b, f"a block of covers[{i}]")) for b in blocks)
+    cover = Partition(n, parts)
+    if cover.sorted_blocks() != blocks:
+        raise SystemFormatError(
+            f"covers[{i}] must list each block ascending, without repeats, in sorted order"
+        )
+    return cover
 
 
 def dumps_record(record: EncodingRecord) -> str:

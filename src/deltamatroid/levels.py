@@ -178,6 +178,9 @@ def _parent_minor_array(vectors: np.ndarray, parent_n: int, p: int, kind: MinorK
     return hi if kind is MinorKind.CONTRACT else lo
 
 
+_ROW_SLICE = 1 << 18
+
+
 class _ComposeKernel:
     """Vectorized compatibility rows for one child level (5 or 6).
 
@@ -187,6 +190,15 @@ class _ComposeKernel:
     component at once: the composed system is a delta-matroid iff every
     joined minor is a parent (improper included) and the pair is not
     antipodal.
+
+    A row never gathers over all parents.  The parents are ascending, and
+    a parent's contraction by its top element is its high half, so that
+    minor ("hi") is non-decreasing along the parents: they fall into
+    contiguous blocks with one hi each, at most one block per
+    grandparent.  A row first admits or rejects whole blocks by one
+    window bit each, then filters the indices of the admitted parents
+    through the other minors one at a time, so each later minor is
+    gathered only for the parents that survived the earlier ones.
     """
 
     def __init__(self, prev: LevelCache):
@@ -208,22 +220,41 @@ class _ComposeKernel:
         for b in range(8):
             packed[self.parents[(self.parents & 7) == b] >> 3] |= np.uint8(1 << b)
         self._packed = packed
+        self._top = (prev.n - 1, MinorKind.CONTRACT)
+        hi = self.parent_minors[self._top]
+        if np.any(hi[1:] < hi[:-1]):
+            raise CacheInvariantError("parents not sorted by their top-element contraction")
+        starts = np.concatenate([[0], np.flatnonzero(hi[1:] != hi[:-1]) + 1])
+        self._block_hi = hi[starts]
+        self._block_len = np.diff(np.append(starts, len(hi)))
+
+    def _window(self, combo: tuple[int, MinorKind], parent_index: int) -> np.ndarray:
+        """Boolean table over second minors: True where the joined minor
+        with the first component's minor at ``combo`` is a parent."""
+        m1 = int(self.parent_minors[combo][parent_index])
+        shift = self._window_shift
+        return np.unpackbits(
+            self._packed[m1 << shift:(m1 + 1) << shift], bitorder="little"
+        ).view(bool)
 
     def row_ok(self, parent_index: int) -> np.ndarray:
         """Boolean array over all parents-as-second-component: True where
         the composed system is a delta-matroid."""
         d1 = int(self.parents[parent_index])
-        shift = self._window_shift
-        ok: np.ndarray | None = None
-        for combo in self.combos:
-            pm = self.parent_minors[combo]
-            m1 = int(pm[parent_index])
-            window = np.unpackbits(
-                self._packed[m1 << shift:(m1 + 1) << shift], bitorder="little"
-            ).view(bool)
-            good = window[pm]
-            ok = good if ok is None else (ok & good)
-        assert ok is not None
+        ok = np.repeat(self._window(self._top, parent_index)[self._block_hi], self._block_len)
+        later = [
+            (self._window(combo, parent_index), self.parent_minors[combo])
+            for combo in self.combos
+            if combo != self._top
+        ]
+        # slice by slice, so that the index temporaries stay a few MB
+        for start in range(0, len(ok), _ROW_SLICE):
+            part = ok[start:start + _ROW_SLICE]
+            idx = np.flatnonzero(part) + start
+            part[:] = False
+            for window, minors in later:
+                idx = idx[window[minors[idx]]]
+            ok[idx] = True
         if d1 == 0:
             ok[0] = False
         elif popcount(d1) == 1:
@@ -259,17 +290,6 @@ def enumerate_level(prev: LevelCache) -> LevelCache:
     if n < 5:
         return _enumerate_small(prev)
     return _enumerate_fast(prev)
-
-
-def antipodal_systems(n: int) -> list[SetSystem]:
-    """All systems whose feasible family is {F, complement of F}."""
-    if n < 1:
-        raise ValueError("antipodal systems need n >= 1")
-    full = (1 << n) - 1
-    out = []
-    for f in range(1 << (n - 1)):
-        out.append(SetSystem(n, (1 << f) | (1 << (f ^ full))))
-    return out
 
 
 # --- counts and reports ------------------------------------------------------

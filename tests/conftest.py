@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from deltamatroid.levels import build_levels
-from deltamatroid.encoding import EncodingError
+from deltamatroid.encoding import EncodingError, KWResult, _peel
+from deltamatroid.setsystem import SetSystem
 
 
 def mask_to_set(mask: int) -> frozenset[int]:
@@ -101,6 +102,50 @@ def distance_two_matrix_identity(n: int) -> bool:
     return bool(np.array_equal(lhs, rhs))
 
 
+def antipodal_systems(n: int) -> list[SetSystem]:
+    """All systems whose feasible family is {F, complement of F}."""
+    if n < 1:
+        raise ValueError("antipodal systems need n >= 1")
+    full = (1 << n) - 1
+    out = []
+    for f in range(1 << (n - 1)):
+        out.append(SetSystem(n, (1 << f) | (1 << (f ^ full))))
+    return out
+
+
+def full_gather_row(kernel, parent_index: int) -> np.ndarray:
+    """A compose-kernel row computed the direct way: every (element, kind)
+    minor gathered over all parents and ANDed, then the antipodal pair
+    excluded."""
+    ok = np.ones(len(kernel.parents), dtype=bool)
+    for combo in kernel.combos:
+        ok &= kernel._window(combo, parent_index)[kernel.parent_minors[combo]]
+    d1 = int(kernel.parents[parent_index])
+    if d1 == 0:
+        ok[0] = False
+    elif d1 & (d1 - 1) == 0:
+        # the composite's one set with the top element is a plus the top;
+        # its complement is a set of the second component
+        full = (1 << kernel.child_n) - 1
+        top = 1 << (kernel.child_n - 1)
+        complement = ((d1.bit_length() - 1) | top) ^ full
+        ok[kernel.parents == 1 << complement] = False
+    return ok
+
+
+def kw_encode(n: int, l_set) -> KWResult:
+    """Run the peeling procedure against a target set L of even masks.
+
+    Postconditions: S is a subsequence of L; every L-vertex is in S, a
+    neighbour of S, or the residue A; |A| <= alpha * N.
+    """
+    members = set(l_set)
+    for m in members:
+        if not 0 <= m < (1 << n) or bin(m).count("1") & 1:
+            raise EncodingError(f"mask {m} is not an even mask below 2^{n}")
+    return _peel(n, members)
+
+
 RECORD_TAMPERS = (
     "float-mask",
     "s-object",
@@ -109,14 +154,20 @@ RECORD_TAMPERS = (
     "bool-element",
     "repeated-element",
     "unreduced-alpha",
+    "unsorted-residual",
+    "repeated-residual",
+    "unsorted-block",
+    "reordered-blocks",
 )
 
 
 def tamper_record(doc: dict, how: str) -> dict:
     """A copy of a record document rewritten so that a parser coercing with
-    int(), frozenset() or Fraction() would read back the same record.
+    int(), frozenset() or Fraction(), or reading the residual and the cover
+    blocks as sets, would read back the same system.
 
-    Needs a record with a non-empty selection and residual.
+    Needs a record with a non-empty selection, at least two residual masks
+    and a cover block of two or more elements.
     """
     doc = json.loads(json.dumps(doc))
     if how == "float-mask":
@@ -128,6 +179,14 @@ def tamper_record(doc: dict, how: str) -> dict:
     elif how == "unreduced-alpha":
         num, den = doc["alpha"].split("/")
         doc["alpha"] = f"{2 * int(num)}/{2 * int(den)}"
+    elif how == "unsorted-residual":
+        doc["residual"].reverse()
+    elif how == "repeated-residual":
+        doc["residual"].append(doc["residual"][-1])
+    elif how == "unsorted-block":
+        next(b for cover in doc["covers"] for b in cover if len(b) > 1).reverse()
+    elif how == "reordered-blocks":
+        doc["covers"][0].reverse()
     else:
         block = next(b for b in doc["covers"][0] if 1 in b)
         if how == "repeated-element":

@@ -32,14 +32,13 @@ from deltamatroid.encoding import (
     decode_even_system,
     encode_even_system,
     even_masks,
-    kw_encode,
     kw_reconstruct,
     local_cover,
     s_length_bound,
     smallest_eigenvalue,
     upper_bound_report,
 )
-from tests.conftest import distance_two_matrix_identity, oracle_is_delta_matroid
+from tests.conftest import distance_two_matrix_identity, kw_encode, oracle_is_delta_matroid
 
 EXPECTED_D = {1: 3, 2: 15, 3: 155, 4: 5959, 5: 4980259}
 FROZEN_E = {3: 30, 4: 294, 5: 7966}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 
@@ -99,6 +100,27 @@ class TestCount:
         assert main(["count", *argv]) == 3
         assert "resource limit" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
+
+    def test_verbose_level6_progress_has_eta(self, monkeypatch, capsys):
+        def class_count(prev, threads=1, progress=None):
+            for done in range(1, 121):
+                if progress is not None:
+                    progress(done, 120)
+            return 10**12
+
+        monkeypatch.setattr(levels, "count_next_level_via_classes", class_count)
+        assert main(["--verbose", "count", "--max-n", "6", "--allow-n6"]) == 0
+        verbose = capsys.readouterr()
+        lines = verbose.err.splitlines()
+        assert [line.split()[1] for line in lines] == ["50/120", "100/120", "120/120"]
+        for line in lines:
+            assert re.fullmatch(r"classes \d+/120 \d+\.\ds eta \d+s", line), line
+        assert lines[-1].endswith(" eta 0s")
+        assert main(["count", "--max-n", "6", "--allow-n6"]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert quiet.out == verbose.out
+        assert "1000000000000" in quiet.out
 
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -240,7 +262,7 @@ class TestEncodeDecode:
 
     @pytest.mark.parametrize("how", RECORD_TAMPERS)
     def test_decode_rejects_coerced_values(self, how, tmp_path, capsys):
-        system = stacked_even_delta_matroid(6, random_stacked_layers(6, 1))
+        system = stacked_even_delta_matroid(7, random_stacked_layers(7, 0))
         doc = json.loads(encoding.dumps_record(encoding.encode_even_system(system)))
         record_path = tmp_path / "record.json"
         record_path.write_text(json.dumps(tamper_record(doc, how)))

@@ -36,7 +36,6 @@ from deltamatroid.encoding import (
     eigenvalue_gap,
     even_masks,
     halved_cube_spectrum,
-    kw_encode,
     kw_reconstruct,
     load_record,
     loads_record,
@@ -52,6 +51,7 @@ from tests.conftest import (
     cube_adjacency_matrix,
     cube_distances,
     distance_two_matrix_identity,
+    kw_encode,
     tamper_record,
 )
 
@@ -370,7 +370,7 @@ class TestRecords:
     def test_rejects_coerced_values(self, how):
         # the field values must be JSON integers and the exact parameter
         # strings, not anything that converts to them
-        record = encode_even_system(stacked_even_delta_matroid(6, random_stacked_layers(6, 1)))
+        record = encode_even_system(stacked_even_delta_matroid(7, random_stacked_layers(7, 0)))
         doc = json.loads(dumps_record(record))
         assert loads_record(json.dumps(doc)) == record
         with pytest.raises(SystemFormatError):

@@ -22,7 +22,6 @@ from deltamatroid.levels import (
     LevelCache,
     ResourceLimitError,
     _ComposeKernel,
-    antipodal_systems,
     build_levels,
     count_even,
     count_next_level_via_classes,
@@ -33,9 +32,11 @@ from deltamatroid.levels import (
     twist_permutation_canonical,
     twist_permutation_classes,
 )
+from tests.conftest import antipodal_systems, full_gather_row, oracle_is_delta_matroid
 
 EXPECTED_D = {1: 3, 2: 15, 3: 155, 4: 5959, 5: 4980259}
 EXPECTED_E = {1: 2, 2: 6, 3: 30, 4: 294, 5: 7966}
+EXPECTED_D6 = 2746801811279
 
 
 class TestEnumeration:
@@ -108,6 +109,51 @@ class TestFastCheck:
     def test_agrees_with_axiom_on_all_level5_entries(self, levels5):
         for s in levels5[5].systems():
             assert check_symmetric_exchange(s) is None
+
+
+class TestLevel6Kernel:
+    """The compose kernel over level 5 (the level-6 rows), against the
+    full-gather formula and the set-based oracle."""
+
+    # survivors per row, counted by the full-gather kernel
+    PINNED = {0: 4980259, 1: 64, 2: 64, 17: 64, 1000: 1942, 123456: 19380,
+              -2: 3231728, -1: 3697044}
+
+    @pytest.fixture(scope="class")
+    def kernel(self, levels5):
+        return _ComposeKernel(levels5[5])
+
+    @pytest.fixture(scope="class")
+    def rows(self, kernel):
+        rng = random.Random(20261018)
+        picks = [0, 1, len(kernel.parents) - 1] + rng.sample(range(len(kernel.parents)), 4)
+        return {i: kernel.row_ok(i) for i in picks}
+
+    def test_rows_match_full_gather(self, kernel, rows):
+        for i, ok in rows.items():
+            assert np.array_equal(ok, full_gather_row(kernel, i)), i
+
+    def test_sampled_entries_match_oracle(self, kernel, rows):
+        rng = random.Random(6)
+        half = 1 << (kernel.child_n - 1)
+        for i, ok in rows.items():
+            picks = []
+            for entries in (np.flatnonzero(ok).tolist(), np.flatnonzero(~ok).tolist()):
+                picks += rng.sample(entries, min(3, len(entries)))
+            for j in picks:
+                bits = (int(kernel.parents[i]) << half) | int(kernel.parents[j])
+                masks = [m for m in range(1 << kernel.child_n) if (bits >> m) & 1]
+                assert oracle_is_delta_matroid(kernel.child_n, masks) == bool(ok[j]), (i, j)
+
+    def test_survivor_counts_pinned(self, kernel):
+        size = len(kernel.parents)
+        got = {i: int(np.count_nonzero(kernel.row_ok(i % size))) for i in self.PINNED}
+        assert got == self.PINNED
+
+    def test_unsorted_parents_refused(self, levels5):
+        shuffled = LevelCache(4, levels5[4].vectors[::-1].copy())
+        with pytest.raises(CacheInvariantError):
+            _ComposeKernel(shuffled)
 
 
 class TestAntipodal:
@@ -269,6 +315,13 @@ class TestClassCounting:
         )
         assert count == EXPECTED_D[5]
         assert seen == [(k, len(reps)) for k in range(1, len(reps) + 1)]
+
+    @pytest.mark.skipif(
+        not os.environ.get("DM_SLOW_TESTS"),
+        reason="full level-6 class count (about 3 minutes, ~0.7 GB); set DM_SLOW_TESTS=1",
+    )
+    def test_level6_count_pinned(self, levels5):
+        assert count_next_level_via_classes(levels5[5]) == EXPECTED_D6
 
     def test_row_counts_constant_on_classes(self, levels5):
         # the compatibility count of a first component depends only on its
