@@ -133,12 +133,13 @@ def cmd_count(args: argparse.Namespace) -> int:
             for r in reports
         ]
     }
-    header = f"{'n':>2}  {'d_n':>12}  {'gamma':>10}"
+    width = max([12] + [len(str(r.d)) for r in reports])
+    header = f"{'n':>2}  {'d_n':>{width}}  {'gamma':>10}"
     if args.with_even:
         header += f"  {'e_n':>8}"
     lines = [header]
     for r in reports:
-        row = f"{r.n:>2}  {r.d:>12}  {r.gamma:>10.6f}"
+        row = f"{r.n:>2}  {r.d:>{width}}  {r.gamma:>10.6f}"
         if args.with_even:
             row += f"  {r.e if r.e is not None else '-':>8}"
         lines.append(row)

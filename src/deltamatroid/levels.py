@@ -19,6 +19,7 @@ import concurrent.futures
 import functools
 import math
 import os
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -437,6 +438,9 @@ def twist_permutation_classes(cache: LevelCache) -> tuple[np.ndarray, np.ndarray
     return np.unique(canon, return_counts=True)
 
 
+_CLASS_ORDER_SEED = 0
+
+
 def count_next_level_via_classes(
     prev: LevelCache,
     threads: int = 1,
@@ -449,6 +453,11 @@ def count_next_level_via_classes(
     full previous level.  Requires child level >= 5.  With threads > 1 the
     rows run in a thread pool (the kernel's numpy gathers release the GIL);
     ``progress(done, total)`` is called after each row, in row order.
+
+    Rows cost more the more second components a class admits, and that
+    grows along the ascending representatives, so the classes are visited
+    in one fixed pseudo-random order: then the rate of the rows done so far
+    is an unbiased guide to the rows left.
     """
     reps, sizes = twist_permutation_classes(prev)
     kernel = _ComposeKernel(prev)
@@ -458,7 +467,7 @@ def count_next_level_via_classes(
         ok = kernel.row_ok(int(rep_indices[k]))
         return int(sizes[k]) * int(np.count_nonzero(ok))
 
-    indices = range(len(reps))
+    indices = random.Random(_CLASS_ORDER_SEED).sample(range(len(reps)), len(reps))
     total = len(prev)
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         rows = pool.map(row, indices) if threads > 1 else map(row, indices)

@@ -9,6 +9,7 @@ first-class values.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -141,16 +142,47 @@ class Matroid:
         return Matroid(twist(self.system, full), self.n - self.rank)
 
 
-def _allowed_exchange_mask(bits: int, n: int, x: int, p: int) -> int:
-    """Bitmask over element positions q such that exchanging {p+1, q+1}
-    at feasible X keeps the result feasible; q == p means the single flip."""
-    base = x ^ (1 << p)
-    allowed = 0
+def _merge_halves(cells: list[int], width: int) -> tuple[int, int]:
+    """Pair up consecutive transforms of ``width`` cells each, as the 0 and
+    1 halves along their next element, until one is left; returns it and
+    its width.  Along each element the * cell is the OR of the 0 and 1
+    cells."""
+    while len(cells) > 1:
+        cells = [a | b << width | (a | b) << 2 * width for a, b in zip(cells[::2], cells[1::2])]
+        width *= 3
+    return cells[0], width
+
+
+@functools.cache
+def _byte_cubes() -> tuple[int, ...]:
+    """_subcube_or of every system on three elements, as ints indexed by
+    the system's feasibility byte."""
+    return tuple(_merge_halves([b >> m & 1 for m in range(8)], 1)[0] for b in range(256))
+
+
+def _subcube_or(n: int, bits: int) -> bytes:
+    """Ternary OR-transform of a feasibility vector over {0,1,*}^n.
+
+    Cell c = sum of c_q * 3^q, with digit c_q in {0, 1, 2 = *}, is the
+    sub-cube of the masks whose bit q is c_q wherever c_q < 2.  For every
+    c < 3^n, bit c of the result (little-endian) is set iff some feasible
+    mask lies in sub-cube c.  The transform is built bottom-up from a table
+    of three-element ones, with no mask tables: the largest values held
+    are the 3^n-bit result and its bytes (5.4 MB each at n = 16).
+    """
+    table = _byte_cubes()
+    cells = [table[b] for b in bits.to_bytes(max(1 << n >> 3, 1), "little")]
+    cube, width = _merge_halves(cells, 27)
+    return cube.to_bytes((width + 7) // 8, "little")
+
+
+@functools.lru_cache(maxsize=1)
+def _ternary(n: int) -> tuple[int, ...]:
+    """Mask m -> sum of bit_q(m) * 3^q, for every mask below 2^n."""
+    tern = [0]
     for q in range(n):
-        target = base if q == p else base ^ (1 << q)
-        if (bits >> target) & 1:
-            allowed |= 1 << q
-    return allowed
+        tern += [t + 3 ** q for t in tern]
+    return tuple(tern)
 
 
 def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
@@ -158,28 +190,53 @@ def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
 
     Returns None when the system is a delta-matroid, otherwise the first
     violating triple in ascending (X, Y, e) order, which makes witnesses
-    reproducible across runs.  Only positions p whose single flip X ^ {p}
-    is infeasible can violate: otherwise p itself is an allowed partner.
+    reproducible across runs.
+
+    Only positions p whose single flip X ^ {p} is infeasible can violate:
+    otherwise p itself is an allowed partner.  For such a p, the allowed
+    partners are the q with X ^ {p, q} feasible, and (X, Y, p + 1)
+    violates iff Y differs from X at p and agrees with X at every allowed
+    partner.  So (X, p) violates for some Y iff one sub-cube of {0,1,*}^n
+    holds a feasible set, which one lookup into _subcube_or answers.  Y is
+    scanned only for the first X that has a violating p.
     """
     if not s.is_proper:
         raise ImproperSystemError("symmetric exchange is undefined for improper systems")
-    bits = s.bits
-    n = s.n
-    feas = list(s.feasible_masks())
+    n, bits = s.n, s.bits
+    full = (1 << n) - 1
+    feas = [m for m, b in enumerate(format(bits, "b")[::-1]) if b == "1"]
+    # near[m]: the positions q whose flip m ^ {q} is feasible
+    near = [0] * (1 << n)
+    for q in range(n):
+        flip = 1 << q
+        for m in feas:
+            near[m ^ flip] |= flip
+    cube = tern = None
     for x in feas:
-        blocked = [
-            (1 << p, _allowed_exchange_mask(bits, n, x, p))
-            for p in range(n)
-            if not (bits >> (x ^ (1 << p))) & 1
-        ]
-        if not blocked:
-            continue
-        for y in feas:
-            d = x ^ y
-            for flip, allowed in blocked:
-                if d & flip and not d & allowed:
-                    return ExchangeWitness(x=x, y=y, e=flip.bit_length())
+        blocked = full & ~near[x]
+        rest = blocked
+        while rest:
+            flip = rest & -rest
+            rest ^= flip
+            if cube is None:
+                cube, tern = _subcube_or(n, bits), _ternary(n)
+            # X is feasible, so p is in near[X ^ {p}]: fixed = partners + p
+            fixed = near[x ^ flip]
+            c = tern[(x ^ flip) & fixed] + 2 * tern[full ^ fixed]
+            if cube[c >> 3] >> (c & 7) & 1:
+                return _first_witness(feas, near, x, blocked)
     return None
+
+
+def _first_witness(feas: list[int], near: list[int], x: int, blocked: int) -> ExchangeWitness:
+    """The first (Y, e) violating with X, for an X that has one."""
+    flips = [(1 << p, near[x ^ (1 << p)] & ~(1 << p)) for p in iter_bits(blocked)]
+    for y in feas:
+        d = x ^ y
+        for flip, allowed in flips:
+            if d & flip and not d & allowed:
+                return ExchangeWitness(x=x, y=y, e=flip.bit_length())
+    raise AssertionError("sub-cube transform and scan disagree")
 
 
 def is_delta_matroid(s: SetSystem) -> bool:

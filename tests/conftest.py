@@ -65,6 +65,19 @@ def oracle_first_witness(n: int, feasible_masks) -> tuple[int, int, int] | None:
     return None
 
 
+def oracle_violates(feasible_masks, x: int, y: int, e: int) -> bool:
+    """Whether (X, Y, e) violates symmetric exchange, over explicit sets:
+    X and Y feasible, e in their symmetric difference, and no f in it
+    (f = e allowed) makes X symmetric-difference {e, f} feasible."""
+    family = {mask_to_set(m) for m in feasible_masks}
+    xs, ys = mask_to_set(x), mask_to_set(y)
+    diff = xs ^ ys
+    return (
+        xs in family and ys in family and e in diff
+        and not any((xs ^ {e, f}) in family for f in diff)
+    )
+
+
 def oracle_level_list(n: int) -> list[int]:
     """All delta-matroid feasibility vectors on {1..n} by brute force."""
     out = []
@@ -113,13 +126,14 @@ def antipodal_systems(n: int) -> list[SetSystem]:
     return out
 
 
-def full_gather_row(kernel, parent_index: int) -> np.ndarray:
+def full_gather_row(kernel, parent_index: int, skip=()) -> np.ndarray:
     """A compose-kernel row computed the direct way: every (element, kind)
-    minor gathered over all parents and ANDed, then the antipodal pair
-    excluded."""
+    minor not in ``skip`` gathered over all parents and ANDed, then the
+    antipodal pair excluded."""
     ok = np.ones(len(kernel.parents), dtype=bool)
     for combo in kernel.combos:
-        ok &= kernel._window(combo, parent_index)[kernel.parent_minors[combo]]
+        if combo not in skip:
+            ok &= kernel._window(combo, parent_index)[kernel.parent_minors[combo]]
     d1 = int(kernel.parents[parent_index])
     if d1 == 0:
         ok[0] = False

@@ -122,6 +122,23 @@ class TestCount:
         assert quiet.out == verbose.out
         assert "1000000000000" in quiet.out
 
+    def test_text_table_columns(self, monkeypatch, capsys):
+        assert main(["count", "--max-n", "3", "--with-even"]) == 0
+        assert capsys.readouterr().out == (
+            " n           d_n       gamma       e_n\n"
+            " 1             3    1.000000         2\n"
+            " 2            15    1.000000         6\n"
+            " 3           155    0.865009        30\n"
+        )
+        # d_6 has 13 digits: the column widens for every row alike
+        d6 = 2746801811279
+        monkeypatch.setattr(levels, "count_next_level_via_classes", lambda *a, **k: d6)
+        assert main(["count", "--max-n", "6", "--allow-n6", "--with-even"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == " n            d_n       gamma       e_n"
+        assert lines[-1] == f" 6  {d6}    0.368799         -"
+        assert {len(line) for line in lines} == {len(lines[0])}
+
     def test_internal_value_error_is_not_a_usage_error(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("count invariant violated")

@@ -10,11 +10,13 @@ import pytest
 
 from deltamatroid import levels
 from deltamatroid.setsystem import (
+    MinorKind,
     SetSystem,
     check_symmetric_exchange,
     compose,
     even_parity_indicator,
     is_delta_matroid,
+    minor,
 )
 from deltamatroid.levels import (
     CacheFormatError,
@@ -149,6 +151,31 @@ class TestLevel6Kernel:
         size = len(kernel.parents)
         got = {i: int(np.count_nonzero(kernel.row_ok(i % size))) for i in self.PINNED}
         assert got == self.PINNED
+
+    # (first, second component) pairs that only the top-contraction minor
+    # rejects, found by comparing full_gather_row with and without it: the
+    # composite is {B + 5 + 6, B' + 5} (or that plus {B'}), B' = {1..4} - B,
+    # whose contraction by 5 is an antipodal pair on five elements
+    TOP_ONLY = [(0x10000, 0x80000000), (0x10000, 0x80008000),
+                (0x400000, 0x2000200), (0x80000000, 0x10001)]
+
+    def test_top_contraction_alone_rejects(self, kernel, levels5):
+        level = levels5[5].vectors
+
+        def member(v: int) -> bool:
+            k = int(np.searchsorted(level, v))
+            return k < len(level) and int(level[k]) == v
+
+        for d1, d2 in self.TOP_ONLY:
+            d = compose(SetSystem(5, d1), SetSystem(5, d2))
+            assert not oracle_is_delta_matroid(6, list(d.feasible_masks())), (d1, d2)
+            for e in range(1, 6):
+                for kind in MinorKind:
+                    m = minor(d, e, kind)
+                    top = (e, kind) == (5, MinorKind.CONTRACT)
+                    assert (not m.is_proper or member(m.bits)) != top, (d1, d2, e, kind)
+            i, j = np.searchsorted(kernel.parents, [d1, d2])
+            assert not kernel.row_ok(int(i))[j], (d1, d2)
 
     def test_unsorted_parents_refused(self, levels5):
         shuffled = LevelCache(4, levels5[4].vectors[::-1].copy())
@@ -315,6 +342,26 @@ class TestClassCounting:
         )
         assert count == EXPECTED_D[5]
         assert seen == [(k, len(reps)) for k in range(1, len(reps) + 1)]
+
+    def test_classes_visited_in_one_fixed_shuffled_order(self, levels5, monkeypatch):
+        # the rate of the rows done so far stands for the rows left only
+        # if the rows are not visited in order of their cost
+        visited: list[int] = []
+        row_ok = _ComposeKernel.row_ok
+
+        def recording_row_ok(kernel, parent_index):
+            visited.append(parent_index)
+            return row_ok(kernel, parent_index)
+
+        monkeypatch.setattr(_ComposeKernel, "row_ok", recording_row_ok)
+        assert count_next_level_via_classes(levels5[4]) == EXPECTED_D[5]
+        first = visited[:]
+        visited.clear()
+        assert count_next_level_via_classes(levels5[4]) == EXPECTED_D[5]
+        assert visited == first
+        reps, _ = twist_permutation_classes(levels5[4])
+        in_order = np.searchsorted(levels5[4].vectors, reps) + 1
+        assert sorted(first) == in_order.tolist() != first
 
     @pytest.mark.skipif(
         not os.environ.get("DM_SLOW_TESTS"),

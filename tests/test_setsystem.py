@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltamatroid import constructions
 from deltamatroid.setsystem import (
     ExchangeWitness,
     ImproperSystemError,
@@ -28,8 +29,9 @@ from deltamatroid.setsystem import (
     minor,
     popcount,
     twist,
+    _subcube_or,
 )
-from conftest import oracle_first_witness, oracle_is_delta_matroid
+from conftest import oracle_first_witness, oracle_is_delta_matroid, oracle_violates
 
 
 def sys_of(n, *sets):
@@ -114,6 +116,42 @@ class TestExchangeCheck:
             bits = sum(1 << m for m in range(1 << n) if rng.random() < density)
             agree(SetSystem(n, bits or 1))
 
+    def test_witness_is_first_on_every_level4_composite(self, levels4):
+        parents = [0] + [int(v) for v in levels4[3].vectors]
+        composites = [d1 << 8 | d2 for d1 in parents for d2 in parents if d1 or d2]
+        assert len(composites) == 24335
+        for bits in composites:
+            s = SetSystem(4, bits)
+            witness = check_symmetric_exchange(s)
+            got = None if witness is None else (witness.x, witness.y, witness.e)
+            assert got == oracle_first_witness(4, s.feasible_masks()), bits
+
+    def test_seed0_stacked_even_n14_passes(self):
+        s = constructions.stacked_even_delta_matroid(
+            14, constructions.random_stacked_layers(14, 0))
+        assert s.num_feasible == 7893
+        assert check_symmetric_exchange(s) is None
+
+    def test_planted_violations_n12(self):
+        # an even delta-matroid plus one odd set X = L ^ {e0}, L an
+        # infeasible even set: (X, Y, e0) violates for every feasible Y
+        # that differs from X at e0, so the system is no delta-matroid
+        base = constructions.stacked_even_delta_matroid(
+            12, constructions.random_stacked_layers(12, 0))
+        assert check_symmetric_exchange(base) is None
+        feasible = set(base.feasible_masks())
+        infeasible_even = [m for m in range(1 << 12) if m not in feasible and popcount(m) % 2 == 0]
+        low = SetSystem(12, base.bits | 1 << (infeasible_even[0] ^ 1))
+        high = SetSystem(12, base.bits | 1 << (infeasible_even[-1] ^ 1))
+        # the first witness of the low one sits early enough in ascending
+        # (X, Y, e) order for the set-based scan to reach it
+        witness = check_symmetric_exchange(low)
+        assert (witness.x, witness.y, witness.e) == oracle_first_witness(12, low.feasible_masks())
+        # the high one exits deep in the scan, at an even X
+        witness = check_symmetric_exchange(high)
+        assert witness == ExchangeWitness(x=955, y=4026, e=11)
+        assert oracle_violates(high.feasible_masks(), witness.x, witness.y, witness.e)
+
     @given(small_systems)
     @settings(max_examples=150, deadline=None)
     def test_witness_is_genuine(self, s):
@@ -131,6 +169,39 @@ class TestExchangeCheck:
                 if (diff & flip_f) and s.has_mask(witness.x ^ (flip_e | flip_f)):
                     pytest.fail(f"witness has a valid exchange f={f}")
             assert not oracle_is_delta_matroid(s.n, masks)
+
+
+def brute_subcube_or(n: int, bits: int) -> int:
+    """Bit c set iff some feasible mask agrees with every non-* digit of
+    cell c = sum of c_q * 3^q (digit 2 is *)."""
+    out = 0
+    for c in range(3 ** n):
+        digits = [c // 3 ** q % 3 for q in range(n)]
+        if any(
+            (bits >> m) & 1 and all(d == 2 or (m >> q) & 1 == d for q, d in enumerate(digits))
+            for m in range(1 << n)
+        ):
+            out |= 1 << c
+    return out
+
+
+class TestSubcubeTransform:
+    @staticmethod
+    def cells(n: int, bits: int) -> int:
+        return int.from_bytes(_subcube_or(n, bits), "little") & ((1 << 3 ** n) - 1)
+
+    def test_every_system_up_to_three_elements(self):
+        for n in range(4):
+            for bits in range(1 << (1 << n)):
+                assert self.cells(n, bits) == brute_subcube_or(n, bits), (n, bits)
+
+    def test_random_systems_on_four_to_six_elements(self):
+        rng = random.Random(3003)
+        for n in (4, 5, 6):
+            for _ in range(12):
+                density = rng.choice([0.02, 0.1, 0.5, 0.9])
+                bits = sum(1 << m for m in range(1 << n) if rng.random() < density)
+                assert self.cells(n, bits) == brute_subcube_or(n, bits), (n, bits)
 
 
 class TestEvenness:
