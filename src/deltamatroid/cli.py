@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -266,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None, help="level cache directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="threads for the level-6 class count (1..CPU count)")
-    parser.add_argument("--verbose", action="store_true", help="progress on stderr")
+    parser.add_argument("--verbose", action="store_true",
+                        help="progress and peeling statistics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="test a set-system file for the exchange axiom")
@@ -322,6 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --verbose: the package's INFO records (such as peeling statistics)
+    # go to stderr for this call
+    package_log = logging.getLogger("deltamatroid")
+    level = package_log.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    if args.verbose:
+        package_log.addHandler(handler)
+        package_log.setLevel(logging.INFO)
     try:
         _check_limits(args)
         return args.func(args)
@@ -339,6 +350,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -14,12 +14,16 @@ upper bound on the number of even delta-matroids.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
+import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .setsystem import (
     MAX_GROUND_SIZE,
@@ -30,6 +34,9 @@ from .setsystem import (
     popcount,
     twist,
 )
+
+
+logger = logging.getLogger(__name__)
 
 
 class EncodingError(ValueError):
@@ -97,39 +104,45 @@ def _peel(n: int, members: set[int]) -> KWResult:
     subgraph is examined (ties to the smallest mask).  A member is appended
     to S and removed together with its surviving neighbours; a non-member
     is removed alone.  Stops once the survivor count is at most alpha * N,
-    with alpha = component_alpha(n).  A removed vertex has degree -1, so
-    the first maximum of ``degree`` is the vertex to examine.
+    with alpha = component_alpha(n).
+
+    Vertex m >> 1 has the neighbours (m >> 1) ^ (pair >> 1), computed per
+    pick.  ``degree`` holds the live degree of every survivor and a
+    negative value for every removed vertex, which later removals only
+    lower, so the first maximum (argmax) is the vertex to examine.
     """
     if n < 2:
         raise EncodingError("component graph needs n >= 2")
-    flips = _pair_masks(n)
-    vertices = even_masks(n)
-    count = len(vertices)
-    degree = [len(flips)] * count
+    start = time.perf_counter()
+    steps = np.array(_pair_masks(n), dtype=np.uint16) >> 1
+    masks = np.array(even_masks(n), dtype=np.uint16)
+    count = len(masks)
+    degree = np.full(count, len(steps), dtype=np.int16)
     survivors = count
-    threshold = component_alpha(n) * count
+    threshold = math.floor(component_alpha(n) * count)
     s: list[int] = []
-
-    def remove(mask: int) -> None:
-        nonlocal survivors
-        degree[mask >> 1] = -1
-        survivors -= 1
-        for f in flips:
-            j = (mask ^ f) >> 1
-            if degree[j] >= 0:
-                degree[j] -= 1
-
     while survivors > threshold:
-        mask = vertices[degree.index(max(degree))]
+        i = int(degree.argmax())
+        mask = int(masks[i])
+        neighbours = steps ^ i
         if mask in members:
             s.append(mask)
-            neighbours = [mask ^ f for f in flips if degree[(mask ^ f) >> 1] >= 0]
-            remove(mask)
-            for nb in neighbours:
-                remove(nb)
+            neighbours = neighbours[degree[neighbours] >= 0]
+            degree[neighbours] = -1
+            survivors -= 1 + len(neighbours)
+            # every vertex loses one degree per removed neighbour
+            degree -= np.bincount((neighbours[:, None] ^ steps).ravel(), minlength=count)
         else:
-            remove(mask)
-    a = tuple(m for m in vertices if degree[m >> 1] >= 0)
+            survivors -= 1
+            degree[neighbours] -= 1
+        degree[i] = -1
+    a = tuple(masks[degree >= 0].tolist())
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            "peel n=%d: |S|=%d (bound %d), |A|=%d (alpha*N=%.1f), %.3fs",
+            n, len(s), s_length_bound(n), len(a),
+            float(component_alpha(n) * count), time.perf_counter() - start,
+        )
     return KWResult(tuple(s), a)
 
 
@@ -193,6 +206,11 @@ def single_block_partition(n: int) -> Partition:
     return Partition(n, (frozenset(range(n + 1)),))
 
 
+def _lowest_mask(d: SetSystem) -> int:
+    """The smallest feasible mask, without listing the feasible sets."""
+    return (d.bits & -d.bits).bit_length() - 1
+
+
 def local_cover(d: SetSystem, x: int) -> Partition:
     """Partition of the ground set plus z recording, for the infeasible
     even set X, which sets X symmetric-difference {a, b} are feasible.
@@ -205,7 +223,7 @@ def local_cover(d: SetSystem, x: int) -> Partition:
     """
     if not is_even(d):
         raise EncodingError("local covers require an even delta-matroid")
-    if popcount(next(d.feasible_masks())) & 1:
+    if popcount(_lowest_mask(d)) & 1:
         raise EncodingError("system must be all-even (twist by {1} first)")
     if popcount(x) & 1:
         raise EncodingError(f"target set {x} has odd size")
@@ -244,17 +262,27 @@ def local_cover(d: SetSystem, x: int) -> Partition:
     return Partition(d.n, tuple(blocks))
 
 
+def certified_flips(p: Partition) -> frozenset[int]:
+    """The pair masks {a, b} for which the cover marks X symmetric-difference
+    {a, b} feasible: at least three blocks and a, b in two distinct blocks,
+    neither the block holding z."""
+    if len(p.blocks) < 3:
+        return frozenset()
+    marked = [block for block in p.blocks if 0 not in block]
+    return frozenset(
+        (1 << (a - 1)) | (1 << (b - 1))
+        for block_a, block_b in combinations(marked, 2)
+        for a in block_a
+        for b in block_b
+    )
+
+
 def cover_certifies(p: Partition, a: int, b: int) -> bool:
-    """True when the cover marks X symmetric-difference {a, b} feasible:
-    at least three blocks and a, b in two distinct blocks, neither the
-    block holding z."""
+    """True when the cover marks X symmetric-difference {a, b} feasible
+    (see certified_flips)."""
     if a == b or not (1 <= a <= p.n and 1 <= b <= p.n):
         raise EncodingError(f"invalid pair ({a}, {b})")
-    if len(p.blocks) < 3:
-        return False
-    block_a = p.block_of(a)
-    block_b = p.block_of(b)
-    return block_a is not block_b and 0 not in block_a and 0 not in block_b
+    return (1 << (a - 1)) | (1 << (b - 1)) in certified_flips(p)
 
 
 # --- whole-system records -------------------------------------------------------
@@ -311,7 +339,7 @@ def encode_even_system(d: SetSystem) -> EncodingRecord:
     if not is_even(d):
         raise EncodingError("system is not even")
     parity = Parity.EVEN
-    if popcount(next(d.feasible_masks())) & 1:
+    if popcount(_lowest_mask(d)) & 1:
         parity = Parity.ODD
         d = twist(d, 1)
     l_set = [m for m in even_masks(d.n) if not (d.bits >> m) & 1]
@@ -336,14 +364,10 @@ def decode_even_system(record: EncodingRecord) -> tuple[int, ...]:
             raise EncodingError(f"residual mask {m} is outside the residue set")
     infeasible: set[int] = set(record.s)
     infeasible.update(record.residual)
-    flips = [
-        ((a, b), (1 << (a - 1)) | (1 << (b - 1)))
-        for a, b in combinations(range(1, record.n + 1), 2)
-    ]
+    flips = _pair_masks(record.n)
     for x, cover in zip(record.s, record.covers):
-        for (a, b), flip in flips:
-            if not cover_certifies(cover, a, b):
-                infeasible.add(x ^ flip)
+        certified = certified_flips(cover)
+        infeasible.update(x ^ f for f in flips if f not in certified)
     return tuple(sorted(infeasible))
 
 

@@ -38,11 +38,21 @@ def popcount(x: int) -> int:
 
 
 def iter_bits(x: int) -> Iterator[int]:
-    """Yield the positions of the set bits of x, ascending."""
+    """Yield the positions of the set bits of x, ascending.
+
+    Each step clears one bit of x, a pass over the whole int: right for
+    n-bit masks, not for feasibility vectors (see bit_positions).
+    """
     while x:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def bit_positions(x: int) -> list[int]:
+    """The positions of the set bits of x, ascending, read from one binary
+    string, so the cost is linear in the bit length of x."""
+    return [p for p, b in enumerate(bin(x)[:1:-1]) if b == "1"]
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -98,7 +108,7 @@ class SetSystem:
 
     def feasible_masks(self) -> Iterator[int]:
         """Feasible subset masks, ascending."""
-        return iter_bits(self.bits)
+        return iter(bit_positions(self.bits))
 
     def has_mask(self, mask: int) -> bool:
         if not 0 <= mask < (1 << self.n):
@@ -204,7 +214,7 @@ def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
         raise ImproperSystemError("symmetric exchange is undefined for improper systems")
     n, bits = s.n, s.bits
     full = (1 << n) - 1
-    feas = [m for m, b in enumerate(format(bits, "b")[::-1]) if b == "1"]
+    feas = bit_positions(bits)
     # near[m]: the positions q whose flip m ^ {q} is feasible
     near = [0] * (1 << n)
     for q in range(n):

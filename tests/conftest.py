@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from deltamatroid.levels import build_levels
-from deltamatroid.encoding import EncodingError, KWResult, _peel
+from deltamatroid.encoding import (
+    EncodingError,
+    KWResult,
+    _pair_masks,
+    _peel,
+    component_alpha,
+    even_masks,
+)
 from deltamatroid.setsystem import SetSystem
 
 
@@ -158,6 +165,50 @@ def kw_encode(n: int, l_set) -> KWResult:
         if not 0 <= m < (1 << n) or bin(m).count("1") & 1:
             raise EncodingError(f"mask {m} is not an even mask below 2^{n}")
     return _peel(n, members)
+
+
+def list_scan_peel(n: int, members: set[int]) -> KWResult:
+    """The peel of ``encoding._peel`` written over Python lists, one vertex
+    removed at a time, with a linear scan for the maximum degree.
+
+    At each step the highest-degree vertex of the surviving induced
+    subgraph is examined (ties to the smallest mask).  A member is appended
+    to S and removed together with its surviving neighbours; a non-member
+    is removed alone.  Stops once the survivor count is at most alpha * N,
+    with alpha = component_alpha(n).  A removed vertex has degree -1, so
+    the first maximum of ``degree`` is the vertex to examine.
+    """
+    if n < 2:
+        raise EncodingError("component graph needs n >= 2")
+    flips = _pair_masks(n)
+    vertices = even_masks(n)
+    count = len(vertices)
+    degree = [len(flips)] * count
+    survivors = count
+    threshold = component_alpha(n) * count
+    s: list[int] = []
+
+    def remove(mask: int) -> None:
+        nonlocal survivors
+        degree[mask >> 1] = -1
+        survivors -= 1
+        for f in flips:
+            j = (mask ^ f) >> 1
+            if degree[j] >= 0:
+                degree[j] -= 1
+
+    while survivors > threshold:
+        mask = vertices[degree.index(max(degree))]
+        if mask in members:
+            s.append(mask)
+            neighbours = [mask ^ f for f in flips if degree[(mask ^ f) >> 1] >= 0]
+            remove(mask)
+            for nb in neighbours:
+                remove(nb)
+        else:
+            remove(mask)
+    a = tuple(m for m in vertices if degree[m >> 1] >= 0)
+    return KWResult(tuple(s), a)
 
 
 RECORD_TAMPERS = (

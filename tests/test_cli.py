@@ -257,6 +257,32 @@ class TestEncodeDecode:
         assert "round trip: exact" in out
         assert "selection size" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verbose_logs_peel_to_stderr_only(self, even_file, fmt, tmp_path, capsys):
+        path, _ = even_file
+        record_path = str(tmp_path / "record.json")
+        assert main(["encode", "--in", path, "--out", record_path]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["encode", "--in", path],
+            ["decode", "--in", record_path],
+            ["roundtrip", "--in", path],
+        ):
+            assert main(["--format", fmt, *argv]) == 0
+            quiet = capsys.readouterr()
+            assert main(["--verbose", "--format", fmt, *argv]) == 0
+            verbose = capsys.readouterr()
+            assert verbose.out == quiet.out, argv
+            assert quiet.err == ""
+            lines = verbose.err.splitlines()
+            assert lines, argv
+            for line in lines:
+                assert re.fullmatch(
+                    r"deltamatroid\.encoding: peel n=5: \|S\|=\d+ \(bound \d+\), "
+                    r"\|A\|=\d+ \(alpha\*N=\d+\.\d\), \d+\.\d{3}s",
+                    line,
+                ), line
+
     def test_encode_rejects_mixed_parity(self, tmp_path, capsys):
         path = write_system(tmp_path / "odd.json", SetSystem.from_sets(3, [[], [1]]))
         assert main(["encode", "--in", path]) == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +13,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from deltamatroid.setsystem import SetSystem, SystemFormatError, is_even, twist
+from deltamatroid.setsystem import (
+    SetSystem,
+    SystemFormatError,
+    even_parity_indicator,
+    is_even,
+    twist,
+)
 from deltamatroid.constructions import (
     random_stacked_layers,
     stacked_even_delta_matroid,
@@ -26,6 +33,7 @@ from deltamatroid.encoding import (
     Parity,
     Partition,
     _pair_masks,
+    _peel,
     bell_number,
     component_alpha,
     component_sigma,
@@ -52,6 +60,7 @@ from tests.conftest import (
     cube_distances,
     distance_two_matrix_identity,
     kw_encode,
+    list_scan_peel,
     tamper_record,
 )
 
@@ -199,6 +208,54 @@ class TestPeeling:
         assert component_alpha(4) == Fraction(1, 4)
         assert component_alpha(5) == Fraction(1, 6)
         assert s_length_bound(4) == math.ceil(math.log(7) / 8 * 8)
+
+
+def infeasible_even(d: SetSystem) -> set[int]:
+    """The peel target of encode_even_system: the infeasible even masks of
+    d, after twisting an all-odd d by {1}."""
+    if popcount((d.bits & -d.bits).bit_length() - 1) & 1:
+        d = twist(d, 1)
+    return {m for m in even_masks(d.n) if not (d.bits >> m) & 1}
+
+
+class TestPeelOracle:
+    """The numpy peel against the list scan of tests/conftest.py, which
+    removes one vertex at a time and scans for the maximum degree."""
+
+    def test_all_even_delta_matroids_small(self, levels5):
+        checked = 0
+        for n in (3, 4, 5):
+            vectors = levels5[n].vectors
+            even = np.array(even_parity_indicator(n), dtype=vectors.dtype)
+            uniform = ((vectors & even) == 0) | ((vectors & ~even) == 0)
+            for v in vectors[uniform].tolist():
+                target = infeasible_even(SetSystem(n, v))
+                assert _peel(n, target) == list_scan_peel(n, target), (n, v)
+                checked += 1
+        assert checked == 30 + 294 + 7966
+
+    def test_random_targets(self):
+        rng = random.Random(90210)
+        for n in range(2, 13):
+            vertices = even_masks(n)
+            targets = [set(), set(vertices)]
+            for _ in range(6 if n < 10 else 2):
+                density = rng.random()
+                targets.append({v for v in vertices if rng.random() < density})
+            for target in targets:
+                assert _peel(n, target) == list_scan_peel(n, target), (n, len(target))
+
+    @pytest.mark.parametrize("n, seed", [
+        (14, 0),
+        (14, 1),
+        pytest.param(16, 0, marks=pytest.mark.skipif(
+            not os.environ.get("DM_SLOW_TESTS"),
+            reason="list-scan peel at n = 16 (about 10 s); set DM_SLOW_TESTS=1",
+        )),
+    ])
+    def test_stacked_even(self, n, seed):
+        target = infeasible_even(stacked_even_delta_matroid(n, random_stacked_layers(n, seed)))
+        assert _peel(n, target) == list_scan_peel(n, target)
 
 
 class TestPartition:
@@ -385,6 +442,8 @@ class TestRecords:
         (8, 1, "04c77ffa9d7c2e66cd913d3a2af6df482fb8c13b8db9958b8dc312c94b054e71"),
         (10, 0, "09491728f610ec3ddbb223907081632d0ce86b7d8ebec62130090c9d0c4c13b6"),
         (10, 1, "ec570055f42f7448603fb772ea45c75eccfe8ab227ab1504131d661950addd83"),
+        (14, 0, "7b30e1cdcad064d26a8c6fe019c1f8fa66521d03afd3aeb6374938af9d1d14ec"),
+        (16, 0, "cdb5a245c60a79c1cff5865d72fbfbcc7eb85423b2633b8fae9df9da6e69f1d6"),
     ])
     def test_record_bytes_pinned(self, n, seed, digest):
         d = stacked_even_delta_matroid(n, random_stacked_layers(n, seed))

@@ -16,6 +16,7 @@ from deltamatroid.setsystem import (
     MinorKind,
     SetSystem,
     SystemFormatError,
+    bit_positions,
     check_symmetric_exchange,
     compose,
     dual,
@@ -24,6 +25,7 @@ from deltamatroid.setsystem import (
     is_delta_matroid,
     is_even,
     is_matroid,
+    iter_bits,
     loads_system,
     mask_of,
     minor,
@@ -64,6 +66,18 @@ class TestSetSystem:
         assert not s.is_proper
         assert s.num_feasible == 0
         assert not is_delta_matroid(s)
+
+    def test_bit_positions_match_iter_bits(self):
+        # one pass over a binary string lists the same positions, ascending,
+        # as clearing one bit at a time
+        rng = random.Random(2024)
+        values = [0, 1, 1 << 65535, (1 << 65536) - 1]
+        for _ in range(100):
+            width = rng.randrange(1, 1 << rng.randrange(1, 17))
+            density = rng.random()
+            values.append(sum(1 << p for p in range(width) if rng.random() < density))
+        for x in values:
+            assert bit_positions(x) == list(iter_bits(x))
 
     def test_feasible_round_trip(self):
         s = sys_of(3, [], [1, 2], [2, 3])
