@@ -13,6 +13,7 @@ upper bound on the number of even delta-matroids.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -58,17 +59,31 @@ class Parity(Enum):
 # (the halved cube) without building it: vertex m has index m >> 1 and its
 # C(n, 2) neighbours are m ^ f over the pair masks f.
 
-def even_masks(n: int) -> list[int]:
+@functools.lru_cache(maxsize=4)
+def even_masks(n: int) -> tuple[int, ...]:
     """The 2^(n-1) even-size masks below 2^n, ascending.
 
     The i-th is (i << 1) | parity(i), so mask m sits at index m >> 1.
     """
-    return [(i << 1) | (i.bit_count() & 1) for i in range(1 << (n - 1))]
+    return tuple((i << 1) | (i.bit_count() & 1) for i in range(1 << (n - 1)))
 
 
-def _pair_masks(n: int) -> list[int]:
+@functools.lru_cache(maxsize=4)
+def _pair_masks(n: int) -> tuple[int, ...]:
     """Masks of the C(n, 2) two-element subsets, in lexicographic order."""
-    return [(1 << i) | (1 << j) for i, j in combinations(range(n), 2)]
+    return tuple((1 << i) | (1 << j) for i, j in combinations(range(n), 2))
+
+
+@functools.lru_cache(maxsize=1)
+def _feasibility_bytes(d: SetSystem) -> bytes:
+    """One byte per mask of d, 1 where the mask is feasible and 0 where not.
+
+    Read from the feasibility int in one pass, so a lookup costs no shift of
+    the whole 2^n-bit int; cached for the last system, since an encode looks
+    up one system for its target list and every local cover.
+    """
+    packed = np.frombuffer(d.bits.to_bytes(max(1 << d.n >> 3, 1), "little"), dtype=np.uint8)
+    return np.unpackbits(packed, bitorder="little").tobytes()
 
 
 def halved_cube_spectrum(n: int) -> list[int]:
@@ -229,9 +244,8 @@ def local_cover(d: SetSystem, x: int) -> Partition:
         raise EncodingError(f"target set {x} has odd size")
     if d.has_mask(x):
         raise EncodingError(f"target set {x} is feasible")
-    bases = {
-        pair for pair in _pair_masks(d.n) if (d.bits >> (x ^ pair)) & 1
-    }
+    feasible = _feasibility_bytes(d)
+    bases = {pair for pair in _pair_masks(d.n) if feasible[x ^ pair]}
     if not bases:
         return single_block_partition(d.n)
     non_loops = [
@@ -342,7 +356,8 @@ def encode_even_system(d: SetSystem) -> EncodingRecord:
     if popcount(_lowest_mask(d)) & 1:
         parity = Parity.ODD
         d = twist(d, 1)
-    l_set = [m for m in even_masks(d.n) if not (d.bits >> m) & 1]
+    feasible = _feasibility_bytes(d)
+    l_set = [m for m in even_masks(d.n) if not feasible[m]]
     result = _peel(d.n, set(l_set))
     in_a = set(result.a)
     covers = tuple(local_cover(d, x) for x in result.s)
@@ -373,11 +388,10 @@ def decode_even_system(record: EncodingRecord) -> tuple[int, ...]:
 
 def reconstruct_system(record: EncodingRecord) -> SetSystem:
     """Rebuild the original delta-matroid a record was produced from."""
-    infeasible = set(decode_even_system(record))
-    bits = 0
-    for m in even_masks(record.n):
-        if m not in infeasible:
-            bits |= 1 << m
+    feasible = np.zeros(1 << record.n, dtype=np.uint8)
+    feasible[np.array(even_masks(record.n), dtype=np.intp)] = 1
+    feasible[np.array(decode_even_system(record), dtype=np.intp)] = 0
+    bits = int.from_bytes(np.packbits(feasible, bitorder="little").tobytes(), "little")
     if bits == 0:
         raise ImproperSystemError("record decodes to an empty family")
     system = SetSystem(record.n, bits)

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import functools
+import logging
 import math
 import os
 import random
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -33,6 +35,8 @@ from .setsystem import (
     even_parity_indicator,
     popcount,
 )
+
+logger = logging.getLogger(__name__)
 
 MAX_LISTED_LEVEL = 5
 MAX_COUNTED_LEVEL = 6
@@ -180,6 +184,7 @@ def _parent_minor_array(vectors: np.ndarray, parent_n: int, p: int, kind: MinorK
 
 
 _ROW_SLICE = 1 << 18
+_COMPOSE_CHUNK = 1024
 
 
 class _ComposeKernel:
@@ -200,6 +205,11 @@ class _ComposeKernel:
     window bit each, then filters the indices of the admitted parents
     through the other minors one at a time, so each later minor is
     gathered only for the parents that survived the earlier ones.
+
+    Rows serve class counting (level 6, and level 5 from level-4
+    classes).  The listing of level 5 takes all rows at once from dense
+    per-minor bit tables (compose_level); that form cannot serve level 6,
+    whose 16-bit minors would need tables of 65 536 x 5 M bits.
     """
 
     def __init__(self, prev: LevelCache):
@@ -266,18 +276,56 @@ class _ComposeKernel:
                 ok[j] = False
         return ok
 
+    def _excluded_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second) parent indices of the pairs every row excludes:
+        improper with improper, and each single-set first component {A}
+        with the second component {complement of A + top}."""
+        parents = self.parents.astype(np.int64)
+        single = np.flatnonzero((parents != 0) & ((parents & (parents - 1)) == 0))
+        a = np.log2(parents[single]).astype(np.int64)
+        partner = np.left_shift(1, a ^ ((1 << (self.child_n - 1)) - 1))
+        j = np.minimum(np.searchsorted(parents, partner), len(parents) - 1)
+        found = parents[j] == partner
+        return np.append(0, single[found]), np.append(0, j[found])
 
-def _enumerate_fast(prev: LevelCache) -> LevelCache:
-    kernel = _ComposeKernel(prev)
-    dtype = _dtype_for(kernel.child_n)
-    half = np.array(1 << (kernel.child_n - 1), dtype=dtype)
-    # parents are ascending and the first component occupies the high bits,
-    # so concatenation in row order is already globally sorted
-    pieces = []
-    for i, d1 in enumerate(kernel.parents.tolist()):
-        second = kernel.parents[kernel.row_ok(i)].astype(dtype)
-        pieces.append(second | (np.array(d1, dtype=dtype) << half))
-    return LevelCache(kernel.child_n, np.concatenate(pieces))
+    def compose_level(self) -> np.ndarray:
+        """Every delta-matroid on child_n = 5 elements, ascending, from all
+        rows at once.
+
+        Each minor of a level-4 parent is a vector on three elements, so
+        the joined minor at a combo is one cell of the 256 x 256 membership
+        table ``member[first minor, second minor]``, which is the packed
+        bitmap unpacked.  Per combo c, ``T_c[a]`` packs the column
+        ``member[a, minors_c]`` over all parents, so a row's verdicts are
+        the AND over c of ``T_c[first minor at c]``: 8 byte-row gathers per
+        row, done for chunks of rows.  At child level 6 the minors are
+        16-bit, so one such table would hold 65 536 x 5 M bits: level 6
+        keeps ``row_ok``.
+        """
+        if self.child_n != 5:
+            raise ResourceLimitError("the whole-level compose lists child level 5 only")
+        member = np.unpackbits(self._packed, bitorder="little").reshape(256, 256)
+        count = len(self.parents)
+        minors = [self.parent_minors[combo] for combo in self.combos]
+        tables = [np.packbits(member[:, m], axis=1, bitorder="little") for m in minors]
+        ex_first, ex_second = self._excluded_pairs()
+        dtype = _dtype_for(self.child_n)
+        wide = self.parents.astype(dtype)
+        half = dtype.type(1 << (self.child_n - 1))
+        # parents are ascending and the first component occupies the high
+        # bits, so the output in row order is already sorted
+        pieces = []
+        for start in range(0, count, _COMPOSE_CHUNK):
+            rows = slice(start, start + _COMPOSE_CHUNK)
+            packed = tables[0][minors[0][rows]]
+            for table, m in zip(tables[1:], minors[1:]):
+                packed &= table[m[rows]]
+            ok = np.unpackbits(packed, axis=1, count=count, bitorder="little").view(bool)
+            here = (ex_first >= start) & (ex_first < start + _COMPOSE_CHUNK)
+            ok[ex_first[here] - start, ex_second[here]] = False
+            first = np.repeat(wide[rows] << half, np.count_nonzero(ok, axis=1))
+            pieces.append(first | np.broadcast_to(wide, ok.shape)[ok])
+        return np.concatenate(pieces)
 
 
 def enumerate_level(prev: LevelCache) -> LevelCache:
@@ -290,7 +338,7 @@ def enumerate_level(prev: LevelCache) -> LevelCache:
         )
     if n < 5:
         return _enumerate_small(prev)
-    return _enumerate_fast(prev)
+    return LevelCache(n, _ComposeKernel(prev).compose_level())
 
 
 # --- counts and reports ------------------------------------------------------
@@ -489,14 +537,17 @@ def build_levels(
 ) -> dict[int, LevelCache]:
     """Load or compute level caches 0..n_max, persisting computed ones.
 
-    Corrupt cache files are detected by header and length checks and are
-    recomputed rather than trusted.
+    Corrupt cache files are detected by header, length and invariant
+    checks and are recomputed rather than trusted.  Each level is logged at
+    INFO: loaded or built, with the seconds taken, and for a rejected file
+    the reason (which names the file).
     """
     if n_max > MAX_LISTED_LEVEL:
         raise ResourceLimitError(f"level lists stop at {MAX_LISTED_LEVEL}")
     levels: dict[int, LevelCache] = {0: LevelCache.level_zero()}
     for n in range(1, n_max + 1):
         cache = None
+        start = time.perf_counter()
         if cache_dir is not None:
             path = cache_path(cache_dir, n)
             if os.path.exists(path):
@@ -504,10 +555,20 @@ def build_levels(
                     cache = LevelCache.load(path)
                     if cache.n != n:
                         raise CacheFormatError(f"{path}: holds level {cache.n}")
-                except CacheFormatError:
+                except CacheFormatError as exc:
+                    logger.info("level %d: cache file rejected, recomputing: %s", n, exc)
                     cache = None
+                else:
+                    logger.info(
+                        "level %d: loaded %d systems in %.3fs",
+                        n, len(cache), time.perf_counter() - start,
+                    )
         if cache is None:
+            start = time.perf_counter()
             cache = enumerate_level(levels[n - 1])
+            logger.info(
+                "level %d: built %d systems in %.3fs", n, len(cache), time.perf_counter() - start
+            )
             if cache_dir is not None:
                 os.makedirs(cache_dir, exist_ok=True)
                 cache.save(cache_path(cache_dir, n))

@@ -147,10 +147,6 @@ class Matroid:
     def bases(self) -> Iterator[int]:
         return self.system.feasible_masks()
 
-    def dual(self) -> Matroid:
-        full = (1 << self.n) - 1
-        return Matroid(twist(self.system, full), self.n - self.rank)
-
 
 def _merge_halves(cells: list[int], width: int) -> tuple[int, int]:
     """Pair up consecutive transforms of ``width`` cells each, as the 0 and
@@ -256,6 +252,7 @@ def is_delta_matroid(s: SetSystem) -> bool:
     return check_symmetric_exchange(s) is None
 
 
+@functools.cache
 def even_parity_indicator(n: int) -> int:
     """Integer whose bit m is set iff mask m has even popcount."""
     ind = 1
@@ -287,55 +284,6 @@ def twist(s: SetSystem, mask: int) -> SetSystem:
     for m in s.feasible_masks():
         out |= 1 << (m ^ mask)
     return SetSystem(s.n, out)
-
-
-def dual(s: SetSystem) -> SetSystem:
-    return twist(s, (1 << s.n) - 1)
-
-
-def _squeeze(mask: int, p: int) -> int:
-    """Drop bit position p from a mask, shifting higher bits down."""
-    return (mask & ((1 << p) - 1)) | ((mask >> (p + 1)) << p)
-
-
-def minor(s: SetSystem, e: int, kind: MinorKind) -> SetSystem:
-    """Delete or contract element e, relabelling {1..n}-e onto {1..n-1}.
-
-    Deletion keeps the feasible sets avoiding e; contraction keeps those
-    containing e and removes e from them.  Either may be improper.
-    """
-    if s.n < 1 or not 1 <= e <= s.n:
-        raise ValueError(f"element {e} out of range for n={s.n}")
-    p = e - 1
-    want = 0 if kind is MinorKind.DELETE else 1
-    out = 0
-    for m in s.feasible_masks():
-        if (m >> p) & 1 == want:
-            out |= 1 << _squeeze(m, p)
-    return SetSystem(s.n - 1, out)
-
-
-def compose(d1: SetSystem, d2: SetSystem) -> SetSystem:
-    """Inverse of splitting off the top element.
-
-    Builds the system D on one more element whose contraction by the top
-    element is d1 and whose deletion is d2.  This pairing is a bijection
-    between systems on {1..n} and ordered pairs of systems on {1..n-1}.
-    """
-    if d1.n != d2.n:
-        raise ValueError(f"ground-set sizes differ: {d1.n} != {d2.n}")
-    half = 1 << d1.n
-    return SetSystem(d1.n + 1, d2.bits | (d1.bits << half))
-
-
-def is_matroid(b: SetSystem) -> bool:
-    """True iff the feasible sets are equicardinal and exchange holds."""
-    if not b.is_proper:
-        raise ImproperSystemError("matroid test is undefined for improper systems")
-    sizes = {popcount(m) for m in b.feasible_masks()}
-    if len(sizes) != 1:
-        return False
-    return check_symmetric_exchange(b) is None
 
 
 # --- shared set-system document format -------------------------------------

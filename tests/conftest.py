@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from deltamatroid.levels import build_levels
+from deltamatroid.levels import LevelCache, _ComposeKernel, _dtype_for, build_levels
 from deltamatroid.encoding import (
     EncodingError,
     KWResult,
@@ -22,7 +22,15 @@ from deltamatroid.encoding import (
     component_alpha,
     even_masks,
 )
-from deltamatroid.setsystem import SetSystem
+from deltamatroid.setsystem import (
+    ImproperSystemError,
+    Matroid,
+    MinorKind,
+    SetSystem,
+    check_symmetric_exchange,
+    popcount,
+    twist,
+)
 
 
 def mask_to_set(mask: int) -> frozenset[int]:
@@ -133,6 +141,64 @@ def antipodal_systems(n: int) -> list[SetSystem]:
     return out
 
 
+# --- set-system operations only the tests use ---------------------------------
+
+def dual(s: SetSystem) -> SetSystem:
+    return twist(s, (1 << s.n) - 1)
+
+
+def matroid_dual(m: Matroid) -> Matroid:
+    full = (1 << m.n) - 1
+    return Matroid(twist(m.system, full), m.n - m.rank)
+
+
+def _squeeze(mask: int, p: int) -> int:
+    """Drop bit position p from a mask, shifting higher bits down."""
+    return (mask & ((1 << p) - 1)) | ((mask >> (p + 1)) << p)
+
+
+def minor(s: SetSystem, e: int, kind: MinorKind) -> SetSystem:
+    """Delete or contract element e, relabelling {1..n}-e onto {1..n-1}.
+
+    Deletion keeps the feasible sets avoiding e; contraction keeps those
+    containing e and removes e from them.  Either may be improper.
+    """
+    if s.n < 1 or not 1 <= e <= s.n:
+        raise ValueError(f"element {e} out of range for n={s.n}")
+    p = e - 1
+    want = 0 if kind is MinorKind.DELETE else 1
+    out = 0
+    for m in s.feasible_masks():
+        if (m >> p) & 1 == want:
+            out |= 1 << _squeeze(m, p)
+    return SetSystem(s.n - 1, out)
+
+
+def compose(d1: SetSystem, d2: SetSystem) -> SetSystem:
+    """Inverse of splitting off the top element.
+
+    Builds the system D on one more element whose contraction by the top
+    element is d1 and whose deletion is d2.  This pairing is a bijection
+    between systems on {1..n} and ordered pairs of systems on {1..n-1}.
+    """
+    if d1.n != d2.n:
+        raise ValueError(f"ground-set sizes differ: {d1.n} != {d2.n}")
+    half = 1 << d1.n
+    return SetSystem(d1.n + 1, d2.bits | (d1.bits << half))
+
+
+def is_matroid(b: SetSystem) -> bool:
+    """True iff the feasible sets are equicardinal and exchange holds."""
+    if not b.is_proper:
+        raise ImproperSystemError("matroid test is undefined for improper systems")
+    sizes = {popcount(m) for m in b.feasible_masks()}
+    if len(sizes) != 1:
+        return False
+    return check_symmetric_exchange(b) is None
+
+
+# --- compose-kernel oracles --------------------------------------------------
+
 def full_gather_row(kernel, parent_index: int, skip=()) -> np.ndarray:
     """A compose-kernel row computed the direct way: every (element, kind)
     minor not in ``skip`` gathered over all parents and ANDed, then the
@@ -152,6 +218,21 @@ def full_gather_row(kernel, parent_index: int, skip=()) -> np.ndarray:
         complement = ((d1.bit_length() - 1) | top) ^ full
         ok[kernel.parents == 1 << complement] = False
     return ok
+
+
+def row_loop_level(prev: LevelCache) -> LevelCache:
+    """The next level listed one compose-kernel row at a time: each first
+    component's admitted second components, by ``row_ok``."""
+    kernel = _ComposeKernel(prev)
+    dtype = _dtype_for(kernel.child_n)
+    half = np.array(1 << (kernel.child_n - 1), dtype=dtype)
+    # parents are ascending and the first component occupies the high bits,
+    # so concatenation in row order is already globally sorted
+    pieces = []
+    for i, d1 in enumerate(kernel.parents.tolist()):
+        second = kernel.parents[kernel.row_ok(i)].astype(dtype)
+        pieces.append(second | (np.array(d1, dtype=dtype) << half))
+    return LevelCache(kernel.child_n, np.concatenate(pieces))
 
 
 def kw_encode(n: int, l_set) -> KWResult:

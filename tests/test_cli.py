@@ -111,7 +111,11 @@ class TestCount:
         monkeypatch.setattr(levels, "count_next_level_via_classes", class_count)
         assert main(["--verbose", "count", "--max-n", "6", "--allow-n6"]) == 0
         verbose = capsys.readouterr()
+        # the level-store records come first, then the class progress
         lines = verbose.err.splitlines()
+        store = [line for line in lines if line.startswith("deltamatroid.levels: ")]
+        assert len(store) == 5
+        lines = lines[len(store):]
         assert [line.split()[1] for line in lines] == ["50/120", "100/120", "120/120"]
         for line in lines:
             assert re.fullmatch(r"classes \d+/120 \d+\.\ds eta \d+s", line), line
@@ -177,6 +181,27 @@ class TestCount:
         assert main(["--format", "json", "count", "--max-n", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["levels"][-1]["d"] == 155
+
+    def test_verbose_logs_level_store_to_stderr_only(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("DM_CACHE_DIR")
+        cache_dir = tmp_path / "flag-cache"
+        argv = ["--cache-dir", str(cache_dir), "count", "--max-n", "5"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        corrupt = cache_path(cache_dir, 3)
+        with open(corrupt, "wb") as fh:
+            fh.write(b"not a cache")
+        assert main(["--verbose", *argv]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == quiet.out
+        lines = verbose.err.splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("deltamatroid.levels: level ") for line in lines)
+        assert f"level 3: cache file rejected, recomputing: {corrupt}: " in lines[2]
+        assert re.search(r"level 3: built 155 systems in \d+\.\d+s$", lines[3])
+        for n, line in zip((1, 2, 4, 5), lines[:2] + lines[4:]):
+            assert re.search(rf"level {n}: loaded \d+ systems in \d+\.\d+s$", line), line
 
     def test_env_var_overrides_flag(self, tmp_path, monkeypatch, capsys):
         env_dir = tmp_path / "env-cache"

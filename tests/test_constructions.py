@@ -11,10 +11,8 @@ import pytest
 from deltamatroid.setsystem import (
     ImproperSystemError,
     SetSystem,
-    dual,
     is_delta_matroid,
     is_even,
-    is_matroid,
 )
 from deltamatroid.constructions import (
     ConstructionError,
@@ -40,7 +38,7 @@ from deltamatroid.constructions import (
     sparse_paving_matroid,
     stacked_even_delta_matroid,
 )
-from tests.conftest import oracle_is_delta_matroid
+from tests.conftest import dual, is_matroid, matroid_dual, oracle_is_delta_matroid
 
 
 def popcount(x: int) -> int:
@@ -353,11 +351,11 @@ class TestSparsePaving:
     def test_dual_is_sparse_paving(self):
         spec = SparsePavingSpec(5, 2, VertexSet(5, frozenset({0b00011, 0b01100})))
         m = sparse_paving_matroid(spec)
-        d = m.dual()
+        d = matroid_dual(m)
         full = (1 << 5) - 1
         assert set(d.bases()) == {full ^ b for b in m.bases()}
         assert d.rank == 3
-        assert d.dual() == m
+        assert matroid_dual(d) == m
         assert dual(m.system) == d.system
 
     def test_circuit_hyperplane_family_iff_stable(self):

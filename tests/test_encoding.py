@@ -71,13 +71,13 @@ def popcount(x: int) -> int:
 
 class TestHalvedCube:
     def test_small_vertices(self):
-        assert even_masks(3) == [0b000, 0b011, 0b101, 0b110]
+        assert even_masks(3) == (0b000, 0b011, 0b101, 0b110)
 
     def test_regular_of_choose_two(self):
         # the 2^(n-1) even masks, ascending; mask m sits at index m >> 1
         for n in range(2, 11):
             vertices = even_masks(n)
-            assert vertices == [m for m in range(1 << n) if popcount(m) % 2 == 0]
+            assert vertices == tuple(m for m in range(1 << n) if popcount(m) % 2 == 0)
             assert [m >> 1 for m in vertices] == list(range(1 << (n - 1)))
 
     def test_adjacency_is_distance_two(self):

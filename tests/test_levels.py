@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 
@@ -13,10 +14,8 @@ from deltamatroid.setsystem import (
     MinorKind,
     SetSystem,
     check_symmetric_exchange,
-    compose,
     even_parity_indicator,
     is_delta_matroid,
-    minor,
 )
 from deltamatroid.levels import (
     CacheFormatError,
@@ -34,7 +33,14 @@ from deltamatroid.levels import (
     twist_permutation_canonical,
     twist_permutation_classes,
 )
-from tests.conftest import antipodal_systems, full_gather_row, oracle_is_delta_matroid
+from tests.conftest import (
+    antipodal_systems,
+    compose,
+    full_gather_row,
+    minor,
+    oracle_is_delta_matroid,
+    row_loop_level,
+)
 
 EXPECTED_D = {1: 3, 2: 15, 3: 155, 4: 5959, 5: 4980259}
 EXPECTED_E = {1: 2, 2: 6, 3: 30, 4: 294, 5: 7966}
@@ -64,8 +70,38 @@ class TestEnumeration:
         assert bool(np.all(v[:-1] < v[1:]))
 
 
+class TestLevelFive:
+    """The whole-level compose that lists level 5, against the row-by-row
+    listing of the same kernel and the pinned cache files."""
+
+    # SHA-256 of each level file as LevelCache.save writes it
+    CACHE_SHA256 = {
+        1: "e1cadfab1a4ecffaba5f255edf78663127fb0551d24dd1aee0e34c3a54516931",
+        2: "78727c17110d835bb0252b6725793ab95e4fb75857222710efb7c9c566c3fa9e",
+        3: "b6b1629dd403e8f5b17c3fbb872046384dee21ba48f3264b8c2476c7b382ff01",
+        4: "a95942ec95b3e7b44bb9bed6cff95d96ac9b060f264803ab608dbb62a32ddb74",
+        5: "e92f3f8b9e9852276f04febdf5d75e73a2cb148db2dadfb614ca8fa097fa441b",
+    }
+
+    def test_matches_row_loop(self, levels5):
+        whole = enumerate_level(levels5[4])
+        rows = row_loop_level(levels5[4])
+        assert whole.vectors.dtype == rows.vectors.dtype == np.dtype("<u4")
+        assert np.array_equal(whole.vectors, rows.vectors)
+
+    def test_cache_files_pinned(self, levels5, tmp_path):
+        for n, digest in self.CACHE_SHA256.items():
+            path = tmp_path / f"level-{n}.dmlc"
+            levels5[n].save(path)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, n
+
+    def test_no_antipodal_pair_listed(self, levels5):
+        pairs = [s.bits for s in antipodal_systems(5)]
+        assert not np.isin(np.array(pairs, dtype=np.uint32), levels5[5].vectors).any()
+
+
 class TestFastCheck:
-    """The compose kernel that builds level 5, against the axiom checker."""
+    """The compose kernel's rows at child level 5, against the axiom checker."""
 
     @pytest.fixture(scope="class")
     def kernel(self, levels5):
@@ -176,6 +212,10 @@ class TestLevel6Kernel:
                     assert (not m.is_proper or member(m.bits)) != top, (d1, d2, e, kind)
             i, j = np.searchsorted(kernel.parents, [d1, d2])
             assert not kernel.row_ok(int(i))[j], (d1, d2)
+
+    def test_whole_level_compose_refused(self, kernel):
+        with pytest.raises(ResourceLimitError):
+            kernel.compose_level()
 
     def test_unsorted_parents_refused(self, levels5):
         shuffled = LevelCache(4, levels5[4].vectors[::-1].copy())

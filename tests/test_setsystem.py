@@ -18,22 +18,27 @@ from deltamatroid.setsystem import (
     SystemFormatError,
     bit_positions,
     check_symmetric_exchange,
-    compose,
-    dual,
     dumps_system,
     elements_of,
     is_delta_matroid,
     is_even,
-    is_matroid,
     iter_bits,
     loads_system,
     mask_of,
-    minor,
     popcount,
     twist,
     _subcube_or,
 )
-from conftest import oracle_first_witness, oracle_is_delta_matroid, oracle_violates
+from conftest import (
+    compose,
+    dual,
+    is_matroid,
+    matroid_dual,
+    minor,
+    oracle_first_witness,
+    oracle_is_delta_matroid,
+    oracle_violates,
+)
 
 
 def sys_of(n, *sets):
@@ -379,7 +384,7 @@ class TestMatroids:
 
     def test_matroid_dual(self):
         m = Matroid(sys_of(3, [1, 2], [1, 3], [2, 3]), 2)
-        d = m.dual()
+        d = matroid_dual(m)
         assert d.rank == 1
         assert d.system == sys_of(3, [3], [2], [1])
 
