@@ -26,7 +26,6 @@ from .setsystem import (
     ImproperSystemError,
     Matroid,
     SetSystem,
-    even_parity_indicator,
     mask_of,
     popcount,
 )
@@ -104,26 +103,6 @@ def complement_delta_matroid(v: VertexSet) -> SetSystem:
     return SetSystem(v.n, bits)
 
 
-def evens_plus_all_odds(n: int, a: VertexSet) -> SetSystem:
-    """Delta-matroid with feasible family a ∪ {every odd-size subset}.
-
-    Every choice of even-size family works, and distinct choices give
-    distinct systems, so there are 2^(2^(n-1)) outputs.
-    """
-    if a.n != n:
-        raise ConstructionError(f"vertex set is over n={a.n}, expected {n}")
-    bits = 0
-    for m in a.members:
-        if popcount(m) & 1:
-            raise ConstructionError(f"member {m} has odd size")
-        bits |= 1 << m
-    odd = even_parity_indicator(n) ^ ((1 << (1 << n)) - 1)
-    bits |= odd
-    if bits == 0:
-        raise ImproperSystemError("empty family (n=0 with no sets chosen)")
-    return SetSystem(n, bits)
-
-
 # --- randomized cut construction ---------------------------------------------
 
 def sample_cut_vertices(n: int, cut: int, seed: int) -> VertexSet:
@@ -174,13 +153,6 @@ def cut_count_lower_bound_exact(n: int) -> Fraction:
 def cut_count_lower_bound(n: int) -> int:
     """The cut-construction counting bound, floored to an integer."""
     return math.floor(cut_count_lower_bound_exact(n))
-
-
-def cut_bound_certifies(n: int, eps: Fraction | float | str) -> bool:
-    """Whether the exact cut bound reaches (1 - eps) * n * 2^(2^(n-1))."""
-    eps_f = Fraction(eps)
-    target = (1 - eps_f) * n * Fraction(2) ** (1 << (n - 1))
-    return cut_count_lower_bound_exact(n) >= target
 
 
 # --- Johnson graph stable sets and sparse paving matroids ---------------------

@@ -207,12 +207,6 @@ class Partition:
         if seen != set(range(self.n + 1)):
             raise EncodingError(f"blocks do not cover 0..{self.n}")
 
-    def block_of(self, element: int) -> frozenset[int]:
-        for block in self.blocks:
-            if element in block:
-                return block
-        raise EncodingError(f"element {element} not covered")
-
     def sorted_blocks(self) -> list[list[int]]:
         return sorted(sorted(b) for b in self.blocks)
 
@@ -289,14 +283,6 @@ def certified_flips(p: Partition) -> frozenset[int]:
         for a in block_a
         for b in block_b
     )
-
-
-def cover_certifies(p: Partition, a: int, b: int) -> bool:
-    """True when the cover marks X symmetric-difference {a, b} feasible
-    (see certified_flips)."""
-    if a == b or not (1 <= a <= p.n and 1 <= b <= p.n):
-        raise EncodingError(f"invalid pair ({a}, {b})")
-    return (1 << (a - 1)) | (1 << (b - 1)) in certified_flips(p)
 
 
 # --- whole-system records -------------------------------------------------------

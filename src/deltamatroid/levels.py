@@ -3,11 +3,17 @@
 Level n is built from level n-1 by composing every ordered pair of
 parents (each parent a delta-matroid or the improper system, excluding the
 improper/improper pair) and keeping the composites that are delta-matroids.
-Up to level 4 compatibility is decided by the axiom checker directly.  At
-levels 5 and 6 it is decided by one kernel and the minor-membership
+One kernel (_ComposeKernel) serves every level.  It writes each parent as
+its contraction and deletion by the top element, two indices into the
+level below, and each of its single-element minors as one more index
+there, so whether a composite's minor is a parent is one lookup in one
+boolean table over pairs of the level below.  That is the minor-membership
 criterion: a proper system on five or more elements whose single-element
 deletions and contractions are all improper or delta-matroids is itself a
 delta-matroid unless its feasible family is a single antipodal pair.
+Below five elements the criterion is necessary but not sufficient, so the
+axiom checker filters the composites that pass it (6 239 checks at level
+4, where checking every composite took 24 335).
 
 Caches of whole levels are numpy arrays of feasibility vectors, sorted
 ascending, and can be persisted in a small binary format (see LevelCache).
@@ -16,7 +22,6 @@ ascending, and can be persisted in a small binary format (see LevelCache).
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import logging
 import math
 import os
@@ -33,7 +38,6 @@ from .setsystem import (
     atomic_write_bytes,
     check_symmetric_exchange,
     even_parity_indicator,
-    popcount,
 )
 
 logger = logging.getLogger(__name__)
@@ -107,27 +111,32 @@ class LevelCache:
             + bytes([self.VERSION, self.n])
             + len(self.vectors).to_bytes(8, "little")
         )
-        atomic_write_bytes(path, header + self.vectors.tobytes())
+        atomic_write_bytes(path, header, np.ascontiguousarray(self.vectors))
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> LevelCache:
+        """Read a level file into one preallocated array, after checking
+        its header and its length against the record count."""
         with open(path, "rb") as fh:
-            data = fh.read()
-        if len(data) < 14 or data[:4] != cls.MAGIC:
-            raise CacheFormatError(f"{path}: missing DMLC header")
-        version, n = data[4], data[5]
-        if version != cls.VERSION:
-            raise CacheFormatError(f"{path}: unsupported version {version}")
-        if n > MAX_LISTED_LEVEL:
-            raise CacheFormatError(f"{path}: unknown level {n}")
-        count = int.from_bytes(data[6:14], "little")
-        dtype = _dtype_for(n)
-        expected = 14 + count * dtype.itemsize
-        if len(data) != expected:
-            raise CacheFormatError(
-                f"{path}: expected {expected} bytes for {count} records, got {len(data)}"
-            )
-        vectors = np.frombuffer(data[14:], dtype=dtype).copy()
+            header = fh.read(14)
+            if len(header) < 14 or header[:4] != cls.MAGIC:
+                raise CacheFormatError(f"{path}: missing DMLC header")
+            version, n = header[4], header[5]
+            if version != cls.VERSION:
+                raise CacheFormatError(f"{path}: unsupported version {version}")
+            if n > MAX_LISTED_LEVEL:
+                raise CacheFormatError(f"{path}: unknown level {n}")
+            count = int.from_bytes(header[6:14], "little")
+            dtype = _dtype_for(n)
+            expected = 14 + count * dtype.itemsize
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise CacheFormatError(
+                    f"{path}: expected {expected} bytes for {count} records, got {size}"
+                )
+            vectors = np.empty(count, dtype=dtype)
+            if fh.readinto(vectors.view(np.uint8)) != vectors.nbytes or fh.read(1):
+                raise CacheFormatError(f"{path}: file changed while it was read")
         cache = cls(n, vectors)
         try:
             cache.validate()
@@ -136,126 +145,153 @@ class LevelCache:
         return cache
 
 
-# --- direct compatibility testing (levels 1..4) -----------------------------
+# --- the compose kernel ------------------------------------------------------
 
-def _enumerate_small(prev: LevelCache) -> LevelCache:
-    n = prev.n + 1
-    half = 1 << prev.n
-    parents = [0] + [int(v) for v in prev.vectors]
-    out = []
-    for d1 in parents:
-        shifted = d1 << half
-        for d2 in parents:
-            bits = shifted | d2
-            if bits == 0:
-                continue
-            if check_symmetric_exchange(SetSystem(n, bits)) is None:
-                out.append(bits)
-    return LevelCache(n, np.array(out, dtype=_dtype_for(n)))
+def _split(vectors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(below, block_len, lo) for ascending systems on n >= 1 elements, the
+    improper one first: the systems one level down (improper first), the
+    number of systems whose contraction by the top element is each of them
+    in turn, and each system's deletion by the top element, as an index
+    into them.
 
-
-# --- minor-membership compatibility kernel (levels >= 5) ---------------------
-
-@functools.cache
-def _minor_table(p: int, kind: MinorKind) -> np.ndarray:
-    """Lookup table: feasibility vector on {1..4} -> vector of its minor.
-
-    2^16 entries; vectors on five elements are split into halves.
-    """
-    v = np.arange(1 << 16, dtype=np.uint32)
-    out = np.zeros(1 << 16, dtype=np.uint16)
-    want = 0 if kind is MinorKind.DELETE else 1
-    for j in range(8):
-        m = (j & ((1 << p) - 1)) | ((j >> p) << (p + 1)) | (want << p)
-        out |= (((v >> m) & 1) << j).astype(np.uint16)
-    return out.astype(np.uint8)
+    The contraction is the high half of a vector, so it is non-decreasing
+    along the systems, and below is its distinct values: on a complete
+    level every system d one level down is the contraction of
+    compose(d, improper)."""
+    half = 1 << (n - 1)
+    hi = vectors >> half
+    if np.any(hi[1:] < hi[:-1]):
+        raise CacheInvariantError("parents not sorted by their top-element contraction")
+    starts = np.flatnonzero(np.concatenate([[True], hi[1:] != hi[:-1]]))
+    below = hi[starts]
+    block_len = np.diff(np.append(starts, len(hi)))
+    lo = vectors & ((1 << half) - 1)
+    j = np.searchsorted(below, lo)
+    if np.any(below[np.minimum(j, len(below) - 1)] != lo):
+        raise CacheInvariantError("a top-element deletion is not listed")
+    return below, block_len, j.astype(np.uint16)
 
 
-def _parent_minor_array(vectors: np.ndarray, parent_n: int, p: int, kind: MinorKind) -> np.ndarray:
-    """Minor vectors of every parent, as a uint16 array (parent_n in {4, 5})."""
-    if parent_n == 4:
-        return _minor_table(p, kind)[vectors].astype(np.uint16)
-    lo = (vectors & np.uint32(0xFFFF)).astype(np.uint16)
-    hi = (vectors >> np.uint32(16)).astype(np.uint16)
-    if p < 4:
-        t = _minor_table(p, kind)
-        return (t[hi].astype(np.uint16) << np.uint16(8)) | t[lo]
-    return hi if kind is MinorKind.CONTRACT else lo
+def _minor_indices(
+    vectors: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, dict[tuple[int, MinorKind], np.ndarray]]:
+    """(below, block_len, minors) for ascending systems on n >= 1 elements,
+    improper first: the level below and the block lengths, as _split
+    gives them, and per (element, kind) each system's minor as an index
+    into below.
+
+    A system is compose(hi, lo), and away from the top element a minor is
+    compose(minor of hi, minor of lo).  So the minors come by recursion:
+    the minors of the level below, as indices one level further down, and
+    one table ``compose[x, y]`` -> index in below."""
+    below, block_len, lo = _split(vectors, n)
+    hi = np.repeat(np.arange(len(below), dtype=np.uint16), block_len)
+    minors = {(n - 1, MinorKind.CONTRACT): hi, (n - 1, MinorKind.DELETE): lo}
+    if n == 1:
+        return below, block_len, minors
+    down, _, below_minors = _minor_indices(below, n - 1)
+    unlisted = len(below)
+    compose = np.full((len(down), len(down)), unlisted, dtype=np.uint16)
+    compose[below_minors[(n - 2, MinorKind.CONTRACT)], below_minors[(n - 2, MinorKind.DELETE)]] = (
+        np.arange(len(below), dtype=np.uint16)
+    )
+    for p in range(n - 1):
+        for kind in MinorKind:
+            m = below_minors[(p, kind)]
+            minors[(p, kind)] = compose[np.repeat(m, block_len), m[lo]]
+            if np.any(minors[(p, kind)] == unlisted):
+                raise CacheInvariantError(f"a ({p + 1}, {kind.value}) minor is not listed")
+    return below, block_len, minors
 
 
+# the minor-membership criterion decides delta-matroids from five elements on
+_CRITERION_FROM = 5
 _ROW_SLICE = 1 << 18
 _COMPOSE_CHUNK = 1024
+# the number of set bits of each byte value
+_BYTE_WEIGHT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8
+)
+
+
+def _require_criterion(child_n: int) -> None:
+    if child_n < _CRITERION_FROM:
+        raise ResourceLimitError(
+            f"compose rows decide child levels {_CRITERION_FROM} and up, got {child_n}"
+        )
 
 
 class _ComposeKernel:
-    """Vectorized compatibility rows for one child level (5 or 6).
+    """Compatibility of every ordered pair of parents, for one child level
+    (1..6).
 
-    Holds the parent vectors (improper prepended), each parent's minor
-    vectors per (element, kind), and a packed membership bitmap of the
-    parents.  A row tests one first component against every second
-    component at once: the composed system is a delta-matroid iff every
-    joined minor is a parent (improper included) and the pair is not
-    antipodal.
+    The parents are the previous level with the improper system prepended.
+    Each is written as its contraction and deletion by its top element, two
+    indices into the level below, and so is each of its single-element
+    minors.  A composite compose(d1, d2) has d1 and d2 as its top-element
+    minors; its minor at another (element, kind) c is the composite of the
+    minors of d1 and d2 at c, so it is a parent iff
+    ``member[minors_c[d1], minors_c[d2]]``, where ``member`` marks the
+    parents among all pairs of the level below.
 
-    A row never gathers over all parents.  The parents are ascending, and
-    a parent's contraction by its top element is its high half, so that
-    minor ("hi") is non-decreasing along the parents: they fall into
-    contiguous blocks with one hi each, at most one block per
-    grandparent.  A row first admits or rejects whole blocks by one
-    window bit each, then filters the indices of the admitted parents
-    through the other minors one at a time, so each later minor is
-    gathered only for the parents that survived the earlier ones.
-
-    Rows serve class counting (level 6, and level 5 from level-4
-    classes).  The listing of level 5 takes all rows at once from dense
-    per-minor bit tables (compose_level); that form cannot serve level 6,
-    whose 16-bit minors would need tables of 65 536 x 5 M bits.
+    From five elements on, a proper system whose minors are all parents is
+    a delta-matroid unless its feasible family is a single antipodal pair
+    (``_excluded_pairs``).  Below five elements that test is necessary but
+    not sufficient, so compose_level filters its survivors through the
+    axiom checker, and row_ok refuses.
     """
 
     def __init__(self, prev: LevelCache):
         self.child_n = prev.n + 1
-        if self.child_n not in (5, 6):
-            raise ResourceLimitError("compose kernel supports child levels 5 and 6")
+        if self.child_n > MAX_COUNTED_LEVEL:
+            raise ResourceLimitError(
+                f"compose kernel supports child levels up to {MAX_COUNTED_LEVEL}"
+            )
         dtype = prev.vectors.dtype
         self.parents = np.concatenate([np.zeros(1, dtype=dtype), prev.vectors])
-        self.combos = [(p, kind) for p in range(prev.n) for kind in MinorKind]
-        self.parent_minors = {
-            combo: _parent_minor_array(self.parents, prev.n, *combo)
-            for combo in self.combos
-        }
-        # a joined minor is (first minor) << half | (second minor), so the
-        # bitmap is read in windows of 2^half bits, one per first minor
-        half = 1 << (prev.n - 1)
-        self._window_shift = half - 3
-        packed = np.zeros(1 << ((1 << prev.n) - 3), dtype=np.uint8)
-        for b in range(8):
-            packed[self.parents[(self.parents & 7) == b] >> 3] |= np.uint8(1 << b)
-        self._packed = packed
-        self._top = (prev.n - 1, MinorKind.CONTRACT)
-        hi = self.parent_minors[self._top]
-        if np.any(hi[1:] < hi[:-1]):
-            raise CacheInvariantError("parents not sorted by their top-element contraction")
-        starts = np.concatenate([[0], np.flatnonzero(hi[1:] != hi[:-1]) + 1])
-        self._block_hi = hi[starts]
-        self._block_len = np.diff(np.append(starts, len(hi)))
+        self.parent_minors = {}
+        if prev.n:
+            # one block of parents per system below: their top-element contraction
+            self.below, self._block_len, self.parent_minors = _minor_indices(self.parents, prev.n)
+            self._top = (prev.n - 1, MinorKind.CONTRACT)
+            self.member = np.zeros((len(self.below), len(self.below)), dtype=bool)
+            self.member[
+                self.parent_minors[self._top], self.parent_minors[(prev.n - 1, MinorKind.DELETE)]
+            ] = True
+        self._excluded = self._excluded_pairs()
 
-    def _window(self, combo: tuple[int, MinorKind], parent_index: int) -> np.ndarray:
-        """Boolean table over second minors: True where the joined minor
-        with the first component's minor at ``combo`` is a parent."""
-        m1 = int(self.parent_minors[combo][parent_index])
-        shift = self._window_shift
-        return np.unpackbits(
-            self._packed[m1 << shift:(m1 + 1) << shift], bitorder="little"
-        ).view(bool)
+    def _excluded_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, second) parent indices of the pairs every row excludes:
+        improper with improper and, from five elements on, each single-set
+        first component {A} with the second component {complement of
+        A + top}.  Antipodal pairs are delta-matroids at two elements."""
+        first, second = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        if self.child_n < _CRITERION_FROM:
+            return first, second
+        parents = self.parents
+        single = np.flatnonzero((parents != 0) & ((parents & (parents - 1)) == 0))
+        a = np.log2(parents[single]).astype(np.int64)
+        partner = np.left_shift(1, a ^ ((1 << (self.child_n - 1)) - 1)).astype(parents.dtype)
+        j = np.minimum(np.searchsorted(parents, partner), len(parents) - 1)
+        found = parents[j] == partner
+        return np.append(first, single[found]), np.append(second, j[found])
 
     def row_ok(self, parent_index: int) -> np.ndarray:
         """Boolean array over all parents-as-second-component: True where
-        the composed system is a delta-matroid."""
-        d1 = int(self.parents[parent_index])
-        ok = np.repeat(self._window(self._top, parent_index)[self._block_hi], self._block_len)
+        the composed system is a delta-matroid (child levels 5 and 6).
+
+        A row never gathers over all parents.  The parents fall into
+        contiguous blocks with one top-element contraction each, so the row
+        first admits or rejects whole blocks, then filters the indices of
+        the admitted parents through the other minors one at a time, each
+        minor gathered only for the parents that survived the earlier ones.
+        """
+        _require_criterion(self.child_n)
+        member = self.member
+        ok = np.repeat(member[self.parent_minors[self._top][parent_index]], self._block_len)
         later = [
-            (self._window(combo, parent_index), self.parent_minors[combo])
-            for combo in self.combos
+            (member[minors[parent_index]], minors)
+            for combo, minors in self.parent_minors.items()
             if combo != self._top
         ]
         # slice by slice, so that the index temporaries stay a few MB
@@ -266,66 +302,50 @@ class _ComposeKernel:
             for window, minors in later:
                 idx = idx[window[minors[idx]]]
             ok[idx] = True
-        if d1 == 0:
-            ok[0] = False
-        elif popcount(d1) == 1:
-            a = d1.bit_length() - 1
-            partner = 1 << (a ^ ((1 << (self.child_n - 1)) - 1))
-            j = int(np.searchsorted(self.parents, partner))
-            if j < len(self.parents) and int(self.parents[j]) == partner:
-                ok[j] = False
+        first, second = self._excluded
+        ok[second[first == parent_index]] = False
         return ok
 
-    def _excluded_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(first, second) parent indices of the pairs every row excludes:
-        improper with improper, and each single-set first component {A}
-        with the second component {complement of A + top}."""
-        parents = self.parents.astype(np.int64)
-        single = np.flatnonzero((parents != 0) & ((parents & (parents - 1)) == 0))
-        a = np.log2(parents[single]).astype(np.int64)
-        partner = np.left_shift(1, a ^ ((1 << (self.child_n - 1)) - 1))
-        j = np.minimum(np.searchsorted(parents, partner), len(parents) - 1)
-        found = parents[j] == partner
-        return np.append(0, single[found]), np.append(0, j[found])
-
     def compose_level(self) -> np.ndarray:
-        """Every delta-matroid on child_n = 5 elements, ascending, from all
+        """Every delta-matroid on child_n <= 5 elements, ascending, from all
         rows at once.
 
-        Each minor of a level-4 parent is a vector on three elements, so
-        the joined minor at a combo is one cell of the 256 x 256 membership
-        table ``member[first minor, second minor]``, which is the packed
-        bitmap unpacked.  Per combo c, ``T_c[a]`` packs the column
-        ``member[a, minors_c]`` over all parents, so a row's verdicts are
-        the AND over c of ``T_c[first minor at c]``: 8 byte-row gathers per
-        row, done for chunks of rows.  At child level 6 the minors are
-        16-bit, so one such table would hold 65 536 x 5 M bits: level 6
-        keeps ``row_ok``.
+        Per (element, kind) c, ``T_c[x]`` packs the column
+        ``member[x, minors_c]`` over all parents, so the packed verdicts of
+        every row are the AND over c of ``T_c[minors_c]``: one byte-row
+        gather per minor and row.  Their bit counts size the output, which
+        is filled chunk by chunk of unpacked rows.  At child level 6 one
+        such table would hold 5 960 x 5 M bits: level 6 is counted by
+        row_ok.
         """
-        if self.child_n != 5:
-            raise ResourceLimitError("the whole-level compose lists child level 5 only")
-        member = np.unpackbits(self._packed, bitorder="little").reshape(256, 256)
+        if self.child_n > MAX_LISTED_LEVEL:
+            raise ResourceLimitError(
+                f"the whole-level compose lists child levels up to {MAX_LISTED_LEVEL}"
+            )
         count = len(self.parents)
-        minors = [self.parent_minors[combo] for combo in self.combos]
-        tables = [np.packbits(member[:, m], axis=1, bitorder="little") for m in minors]
-        ex_first, ex_second = self._excluded_pairs()
+        packed = np.tile(np.packbits(np.ones(count, dtype=bool), bitorder="little"), (count, 1))
+        for m in self.parent_minors.values():
+            packed &= np.packbits(self.member[:, m], axis=1, bitorder="little")[m]
+        first, second = self._excluded
+        # each first component has at most one excluded second component
+        packed[first, second >> 3] &= ~np.left_shift(1, second & 7).astype(np.uint8)
+        sizes = _BYTE_WEIGHT[packed].sum(axis=1, dtype=np.int64)
         dtype = _dtype_for(self.child_n)
         wide = self.parents.astype(dtype)
-        half = dtype.type(1 << (self.child_n - 1))
         # parents are ascending and the first component occupies the high
         # bits, so the output in row order is already sorted
-        pieces = []
+        vectors = np.repeat(wide << dtype.type(1 << (self.child_n - 1)), sizes)
+        end = 0
         for start in range(0, count, _COMPOSE_CHUNK):
             rows = slice(start, start + _COMPOSE_CHUNK)
-            packed = tables[0][minors[0][rows]]
-            for table, m in zip(tables[1:], minors[1:]):
-                packed &= table[m[rows]]
-            ok = np.unpackbits(packed, axis=1, count=count, bitorder="little").view(bool)
-            here = (ex_first >= start) & (ex_first < start + _COMPOSE_CHUNK)
-            ok[ex_first[here] - start, ex_second[here]] = False
-            first = np.repeat(wide[rows] << half, np.count_nonzero(ok, axis=1))
-            pieces.append(first | np.broadcast_to(wide, ok.shape)[ok])
-        return np.concatenate(pieces)
+            ok = np.unpackbits(packed[rows], axis=1, count=count, bitorder="little").view(bool)
+            begin, end = end, end + int(sizes[rows].sum())
+            vectors[begin:end] |= np.broadcast_to(wide, ok.shape)[ok]
+        if self.child_n < _CRITERION_FROM:
+            n = self.child_n
+            keep = [check_symmetric_exchange(SetSystem(n, int(v))) is None for v in vectors]
+            vectors = vectors[np.array(keep, dtype=bool)]
+        return vectors
 
 
 def enumerate_level(prev: LevelCache) -> LevelCache:
@@ -336,8 +356,6 @@ def enumerate_level(prev: LevelCache) -> LevelCache:
         raise ResourceLimitError(
             f"level {n} cannot be materialized as a list; use class counting"
         )
-    if n < 5:
-        return _enumerate_small(prev)
     return LevelCache(n, _ComposeKernel(prev).compose_level())
 
 
@@ -498,7 +516,7 @@ def count_next_level_via_classes(
 
     One compatibility row is evaluated per equivalence class representative
     and weighted by class size; the improper first component contributes one
-    full previous level.  Requires child level >= 5.  With threads > 1 the
+    full previous level.  Requires child level 5 or 6.  With threads > 1 the
     rows run in a thread pool (the kernel's numpy gathers release the GIL);
     ``progress(done, total)`` is called after each row, in row order.
 
@@ -507,6 +525,7 @@ def count_next_level_via_classes(
     in one fixed pseudo-random order: then the rate of the rows done so far
     is an unbiased guide to the rows left.
     """
+    _require_criterion(prev.n + 1)
     reps, sizes = twist_permutation_classes(prev)
     kernel = _ComposeKernel(prev)
     rep_indices = np.searchsorted(kernel.parents, reps)

@@ -343,14 +343,16 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
+def atomic_write_bytes(path: str | os.PathLike, *chunks) -> None:
+    """Write bytes-like chunks in order via a temp file and rename, so
+    failures leave no partial file."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

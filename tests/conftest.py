@@ -9,16 +9,20 @@ decision procedure.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from deltamatroid.constructions import ConstructionError, VertexSet, cut_count_lower_bound_exact
 from deltamatroid.levels import LevelCache, _ComposeKernel, _dtype_for, build_levels
 from deltamatroid.encoding import (
     EncodingError,
     KWResult,
+    Partition,
     _pair_masks,
     _peel,
+    certified_flips,
     component_alpha,
     even_masks,
 )
@@ -28,6 +32,7 @@ from deltamatroid.setsystem import (
     MinorKind,
     SetSystem,
     check_symmetric_exchange,
+    even_parity_indicator,
     popcount,
     twist,
 )
@@ -197,6 +202,50 @@ def is_matroid(b: SetSystem) -> bool:
     return check_symmetric_exchange(b) is None
 
 
+# --- constructions and covers only the tests use ------------------------------
+
+def evens_plus_all_odds(n: int, a: VertexSet) -> SetSystem:
+    """Delta-matroid with feasible family a ∪ {every odd-size subset}.
+
+    Every choice of even-size family works, and distinct choices give
+    distinct systems, so there are 2^(2^(n-1)) outputs.
+    """
+    if a.n != n:
+        raise ConstructionError(f"vertex set is over n={a.n}, expected {n}")
+    bits = 0
+    for m in a.members:
+        if popcount(m) & 1:
+            raise ConstructionError(f"member {m} has odd size")
+        bits |= 1 << m
+    odd = even_parity_indicator(n) ^ ((1 << (1 << n)) - 1)
+    bits |= odd
+    if bits == 0:
+        raise ImproperSystemError("empty family (n=0 with no sets chosen)")
+    return SetSystem(n, bits)
+
+
+def cut_bound_certifies(n: int, eps: Fraction | float | str) -> bool:
+    """Whether the exact cut bound reaches (1 - eps) * n * 2^(2^(n-1))."""
+    eps_f = Fraction(eps)
+    target = (1 - eps_f) * n * Fraction(2) ** (1 << (n - 1))
+    return cut_count_lower_bound_exact(n) >= target
+
+
+def block_of(p: Partition, element: int) -> frozenset[int]:
+    for block in p.blocks:
+        if element in block:
+            return block
+    raise EncodingError(f"element {element} not covered")
+
+
+def cover_certifies(p: Partition, a: int, b: int) -> bool:
+    """True when the cover marks X symmetric-difference {a, b} feasible
+    (see encoding.certified_flips)."""
+    if a == b or not (1 <= a <= p.n and 1 <= b <= p.n):
+        raise EncodingError(f"invalid pair ({a}, {b})")
+    return (1 << (a - 1)) | (1 << (b - 1)) in certified_flips(p)
+
+
 # --- compose-kernel oracles --------------------------------------------------
 
 def full_gather_row(kernel, parent_index: int, skip=()) -> np.ndarray:
@@ -204,9 +253,9 @@ def full_gather_row(kernel, parent_index: int, skip=()) -> np.ndarray:
     minor not in ``skip`` gathered over all parents and ANDed, then the
     antipodal pair excluded."""
     ok = np.ones(len(kernel.parents), dtype=bool)
-    for combo in kernel.combos:
+    for combo, minors in kernel.parent_minors.items():
         if combo not in skip:
-            ok &= kernel._window(combo, parent_index)[kernel.parent_minors[combo]]
+            ok &= kernel.member[minors[parent_index]][minors]
     d1 = int(kernel.parents[parent_index])
     if d1 == 0:
         ok[0] = False

@@ -28,7 +28,6 @@ from deltamatroid.constructions import (
 from deltamatroid.encoding import (
     _pair_masks,
     component_alpha,
-    cover_certifies,
     decode_even_system,
     encode_even_system,
     even_masks,
@@ -38,7 +37,12 @@ from deltamatroid.encoding import (
     smallest_eigenvalue,
     upper_bound_report,
 )
-from tests.conftest import distance_two_matrix_identity, kw_encode, oracle_is_delta_matroid
+from tests.conftest import (
+    cover_certifies,
+    distance_two_matrix_identity,
+    kw_encode,
+    oracle_is_delta_matroid,
+)
 
 EXPECTED_D = {1: 3, 2: 15, 3: 155, 4: 5959, 5: 4980259}
 FROZEN_E = {3: 30, 4: 294, 5: 7966}

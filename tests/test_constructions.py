@@ -22,11 +22,9 @@ from deltamatroid.constructions import (
     StabilityViolationError,
     VertexSet,
     complement_delta_matroid,
-    cut_bound_certifies,
     cut_count_lower_bound,
     cut_count_lower_bound_exact,
     even_lower_bound,
-    evens_plus_all_odds,
     graham_sloane_stable_set,
     hypercube_neighbors,
     qn_degree,
@@ -38,7 +36,14 @@ from deltamatroid.constructions import (
     sparse_paving_matroid,
     stacked_even_delta_matroid,
 )
-from tests.conftest import dual, is_matroid, matroid_dual, oracle_is_delta_matroid
+from tests.conftest import (
+    cut_bound_certifies,
+    dual,
+    evens_plus_all_odds,
+    is_matroid,
+    matroid_dual,
+    oracle_is_delta_matroid,
+)
 
 
 def popcount(x: int) -> int:

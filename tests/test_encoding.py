@@ -37,7 +37,6 @@ from deltamatroid.encoding import (
     bell_number,
     component_alpha,
     component_sigma,
-    cover_certifies,
     decode_even_system,
     dumps_record,
     encode_even_system,
@@ -56,6 +55,8 @@ from deltamatroid.encoding import (
 )
 from tests.conftest import (
     RECORD_TAMPERS,
+    block_of,
+    cover_certifies,
     cube_adjacency_matrix,
     cube_distances,
     distance_two_matrix_identity,
@@ -271,9 +272,9 @@ class TestPartition:
 
     def test_block_of(self):
         p = Partition(2, (frozenset({0, 2}), frozenset({1})))
-        assert p.block_of(1) == frozenset({1})
+        assert block_of(p, 1) == frozenset({1})
         with pytest.raises(EncodingError):
-            p.block_of(5)
+            block_of(p, 5)
 
 
 class TestLocalCover:

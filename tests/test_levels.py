@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,9 +118,18 @@ class TestFastCheck:
         assert [int(kernel.parents[row]), int(kernel.parents[col])] == list(halves)
         return bool(kernel.row_ok(row)[col])
 
-    def test_requires_scale(self, levels5):
+    def test_requires_scale(self, levels5, monkeypatch):
+        # below five elements the minor test is not sufficient: rows refuse,
+        # and the class count refuses before it canonicalizes anything
         with pytest.raises(ResourceLimitError):
-            _ComposeKernel(levels5[3])
+            _ComposeKernel(levels5[3]).row_ok(1)
+
+        def canonicalize(cache):
+            raise AssertionError("canonicalized before the scale gate")
+
+        monkeypatch.setattr(levels, "twist_permutation_classes", canonicalize)
+        with pytest.raises(ResourceLimitError):
+            count_next_level_via_classes(levels5[3])
 
     def test_antipodal_family_is_rejected(self, kernel):
         for s in antipodal_systems(5):
@@ -147,6 +157,33 @@ class TestFastCheck:
     def test_agrees_with_axiom_on_all_level5_entries(self, levels5):
         for s in levels5[5].systems():
             assert check_symmetric_exchange(s) is None
+
+
+class TestMinorIndices:
+    """Each parent's minors as indices into the level below, against the
+    set-based minor of tests/conftest.py."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_match_set_minors(self, levels5, n):
+        kernel = _ComposeKernel(levels5[n])
+        assert set(kernel.parent_minors) == {(p, kind) for p in range(n) for kind in MinorKind}
+        rng = random.Random(n)
+        picks = [0] + rng.sample(range(1, len(kernel.parents)), 150)
+        for i in picks:
+            s = SetSystem(n, int(kernel.parents[i]))
+            for (p, kind), minors in kernel.parent_minors.items():
+                assert int(kernel.below[minors[i]]) == minor(s, p + 1, kind).bits, (i, p, kind)
+
+    def test_unlisted_deletion_or_minor_refused(self, levels5):
+        v = levels5[3].vectors
+        hi, lo = v >> 4, v & 15
+        # drop the systems whose top-element contraction is {empty set}:
+        # it is no longer listed one level down, but still a deletion
+        with pytest.raises(CacheInvariantError, match="deletion"):
+            _ComposeKernel(LevelCache(3, v[hi != 1]))
+        # and those whose deletion it is: it is still a minor by a lower element
+        with pytest.raises(CacheInvariantError, match="minor"):
+            _ComposeKernel(LevelCache(3, v[(hi != 1) & (lo != 1)]))
 
 
 class TestLevel6Kernel:
@@ -271,9 +308,23 @@ class TestCacheFiles:
         path = tmp_path / "trunc.dmlc"
         levels5[3].save(path)
         data = path.read_bytes()
-        path.write_bytes(data[:-1])
-        with pytest.raises(CacheFormatError):
-            LevelCache.load(path)
+        huge = data[:6] + (1 << 62).to_bytes(8, "little") + data[14:]
+        for bad in (data[:-1], data + b"\x00", huge):
+            path.write_bytes(bad)
+            with pytest.raises(CacheFormatError):
+                LevelCache.load(path)
+
+    def test_load_holds_one_copy(self, levels5, tmp_path):
+        path = tmp_path / "level-5.dmlc"
+        levels5[5].save(path)
+        tracemalloc.start()
+        try:
+            loaded = LevelCache.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.vectors, levels5[5].vectors)
+        assert peak < 1.5 * levels5[5].vectors.nbytes
 
     def test_unsorted_payload_rejected(self, tmp_path):
         header = b"DMLC" + bytes([1, 1]) + (2).to_bytes(8, "little")
