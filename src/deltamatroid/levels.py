@@ -5,15 +5,23 @@ parents (each parent a delta-matroid or the improper system, excluding the
 improper/improper pair) and keeping the composites that are delta-matroids.
 One kernel (_ComposeKernel) serves every level.  It writes each parent as
 its contraction and deletion by the top element, two indices into the
-level below, and each of its single-element minors as one more index
-there, so whether a composite's minor is a parent is one lookup in one
-boolean table over pairs of the level below.  That is the minor-membership
-criterion: a proper system on five or more elements whose single-element
-deletions and contractions are all improper or delta-matroids is itself a
-delta-matroid unless its feasible family is a single antipodal pair.
-Below five elements the criterion is necessary but not sufficient, so the
-axiom checker filters the composites that pass it (6 239 checks at level
-4, where checking every composite took 24 335).
+level below, so whether a composite's minor is a parent is one lookup in
+one boolean table over pairs of the level below.  That is the
+minor-membership criterion: a proper system on five or more elements whose
+single-element deletions and contractions are all improper or
+delta-matroids is itself a delta-matroid unless its feasible family is a
+single antipodal pair.  Below five elements the criterion is necessary but
+not sufficient, so the axiom checker filters the composites that pass it
+(6 239 checks at level 4, where checking every composite took 24 335).
+
+Levels 1..5 are listed whole, from one packed bit table per minor over all
+parents.  Level 6 is counted one row per first component, and a row is a
+grid over the pairs (c, d) of the level below: one packed row over d per
+admitted c, ANDed with one 156-row table per lower minor.  A row's work
+grows with the c it admits (a few thousand), not with the ~5 M parents, so
+the kernel needs no per-parent minor arrays, and no step that first
+rejects whole blocks of parents and then gathers minors for the
+survivors.
 
 Caches of whole levels are numpy arrays of feasibility vectors, sorted
 ascending, and can be persisted in a small binary format (see LevelCache).
@@ -183,31 +191,46 @@ def _minor_indices(
     A system is compose(hi, lo), and away from the top element a minor is
     compose(minor of hi, minor of lo).  So the minors come by recursion:
     the minors of the level below, as indices one level further down, and
-    one table ``compose[x, y]`` -> index in below."""
+    one table ``compose[x, y]`` -> index in below (see _compose_table)."""
     below, block_len, lo = _split(vectors, n)
     hi = np.repeat(np.arange(len(below), dtype=np.uint16), block_len)
     minors = {(n - 1, MinorKind.CONTRACT): hi, (n - 1, MinorKind.DELETE): lo}
     if n == 1:
         return below, block_len, minors
-    down, _, below_minors = _minor_indices(below, n - 1)
-    unlisted = len(below)
-    compose = np.full((len(down), len(down)), unlisted, dtype=np.uint16)
-    compose[below_minors[(n - 2, MinorKind.CONTRACT)], below_minors[(n - 2, MinorKind.DELETE)]] = (
-        np.arange(len(below), dtype=np.uint16)
-    )
-    for p in range(n - 1):
-        for kind in MinorKind:
-            m = below_minors[(p, kind)]
-            minors[(p, kind)] = compose[np.repeat(m, block_len), m[lo]]
-            if np.any(minors[(p, kind)] == unlisted):
-                raise CacheInvariantError(f"a ({p + 1}, {kind.value}) minor is not listed")
+    below_minors, compose = _compose_table(below, n - 1)
+    for (p, kind), m in below_minors.items():
+        minors[(p, kind)] = compose[m[hi], m[lo]]
+        if np.any(minors[(p, kind)] == len(below)):
+            raise CacheInvariantError(f"a ({p + 1}, {kind.value}) minor is not listed")
     return below, block_len, minors
+
+
+def _compose_table(
+    vectors: np.ndarray, n: int
+) -> tuple[dict[tuple[int, MinorKind], np.ndarray], np.ndarray]:
+    """(minors, compose) for ascending systems on n >= 1 elements, improper
+    first: each system's minors as indices one level down, as
+    _minor_indices gives them, and ``compose[x, y]``, the index of
+    compose(x, y) among the systems, or len(vectors) where that is not
+    listed."""
+    down, _, minors = _minor_indices(vectors, n)
+    compose = np.full((len(down), len(down)), len(vectors), dtype=np.uint16)
+    compose[minors[(n - 1, MinorKind.CONTRACT)], minors[(n - 1, MinorKind.DELETE)]] = (
+        np.arange(len(vectors), dtype=np.uint16)
+    )
+    return minors, compose
+
+
+def _pack_columns(table: np.ndarray, minors: np.ndarray) -> np.ndarray:
+    """Row x packs ``table[x, minors[d]]`` over every d of the level below,
+    for a boolean table over pairs of the level one further down."""
+    return np.packbits(np.take(table.view(np.uint8), minors, axis=1), axis=1, bitorder="little")
 
 
 # the minor-membership criterion decides delta-matroids from five elements on
 _CRITERION_FROM = 5
-_ROW_SLICE = 1 << 18
 _COMPOSE_CHUNK = 1024
+_EVEN_CHUNK = 1 << 16
 # the number of set bits of each byte value
 _BYTE_WEIGHT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
     axis=1, dtype=np.uint8
@@ -226,19 +249,25 @@ class _ComposeKernel:
     (1..6).
 
     The parents are the previous level with the improper system prepended.
-    Each is written as its contraction and deletion by its top element, two
-    indices into the level below, and so is each of its single-element
-    minors.  A composite compose(d1, d2) has d1 and d2 as its top-element
-    minors; its minor at another (element, kind) c is the composite of the
-    minors of d1 and d2 at c, so it is a parent iff
-    ``member[minors_c[d1], minors_c[d2]]``, where ``member`` marks the
-    parents among all pairs of the level below.
+    Each is a pair (a, b), its contraction and deletion by its top element,
+    two indices into the level below, and the parents are ascending in
+    (a, b).  ``member[a, b]`` marks the pairs that are parents.  A
+    composite compose(d1, d2), d1 = (a, b) and d2 = (c, d), has d1 and d2
+    as its top-element minors and (a, c) and (b, d) as its minors by the
+    parents' top element.  At each lower (element, kind) its minor is the
+    composite of the minors of d1 and d2 there; a system one level down has
+    its minors as indices one level further down, and ``compose[x, y]``
+    gives back the index of compose(x, y) in the level below.  So every
+    minor is a parent iff member[a, c], member[b, d] and, per lower
+    (element, kind), ``member[m1, compose[c_p, d_p]]``, with m1 the minor
+    of d1 and c_p, d_p those of c and d.  The kernel holds member, its rows
+    packed, those small tables and each parent's b: no per-parent minors.
 
     From five elements on, a proper system whose minors are all parents is
     a delta-matroid unless its feasible family is a single antipodal pair
     (``_excluded_pairs``).  Below five elements that test is necessary but
     not sufficient, so compose_level filters its survivors through the
-    axiom checker, and row_ok refuses.
+    axiom checker, and the rows refuse.
     """
 
     def __init__(self, prev: LevelCache):
@@ -249,15 +278,20 @@ class _ComposeKernel:
             )
         dtype = prev.vectors.dtype
         self.parents = np.concatenate([np.zeros(1, dtype=dtype), prev.vectors])
-        self.parent_minors = {}
+        self._lower = {}
         if prev.n:
             # one block of parents per system below: their top-element contraction
-            self.below, self._block_len, self.parent_minors = _minor_indices(self.parents, prev.n)
-            self._top = (prev.n - 1, MinorKind.CONTRACT)
+            self.below, self._block_len, self._lo = _split(self.parents, prev.n)
+            hi = np.repeat(np.arange(len(self.below), dtype=np.uint16), self._block_len)
             self.member = np.zeros((len(self.below), len(self.below)), dtype=bool)
-            self.member[
-                self.parent_minors[self._top], self.parent_minors[(prev.n - 1, MinorKind.DELETE)]
-            ] = True
+            self.member[hi, self._lo] = True
+            self._packed = np.packbits(self.member, axis=1, bitorder="little")
+        if prev.n > 1:
+            self._lower, self._compose = _compose_table(self.below, prev.n - 1)
+            unlisted = self._compose == len(self.below)
+            for (p, kind), m in self._lower.items():
+                if np.any(self._packed & _pack_columns(unlisted, m)[m]):
+                    raise CacheInvariantError(f"a ({p + 1}, {kind.value}) minor is not listed")
         self._excluded = self._excluded_pairs()
 
     def _excluded_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -276,34 +310,57 @@ class _ComposeKernel:
         found = parents[j] == partner
         return np.append(first, single[found]), np.append(second, j[found])
 
+    def _halves(self, parent_index: int) -> tuple[int, int]:
+        """A parent's (a, b) as indices into the level below."""
+        a = np.searchsorted(self.below, self.parents[parent_index] >> (1 << (self.child_n - 2)))
+        return int(a), int(self._lo[parent_index])
+
+    def _row(self, parent_index: int) -> tuple[np.ndarray, np.ndarray]:
+        """(admitted, rows): the row of d1 = (a, b) as a grid over the
+        second components d2 = (c, d).  ``admitted`` marks the c with
+        member[a, c]; ``rows`` holds, per admitted c in turn, the packed
+        bits over d of the d2 that make a delta-matroid with d1.
+
+        Each row starts as the AND of the packed member[c] (d2 is a
+        parent) and member[b], then ANDs in one 156-row table per lower
+        (element, kind), gathered by c's minor there.  Work grows with the
+        admitted c, not with the ~5 M parents."""
+        _require_criterion(self.child_n)
+        a, b = self._halves(parent_index)
+        admitted = self.member[a]
+        cs = np.flatnonzero(admitted)
+        rows = self._packed[cs] & self._packed[b]
+        for m in self._lower.values():
+            # whether d1's minor here composes to a parent with each system
+            # one level down, the unlisted ones included as False
+            w = np.append(self.member[self._compose[m[a], m[b]]], False)[self._compose]
+            rows &= _pack_columns(w, m)[m[cs]]
+        first, second = self._excluded
+        for c, d in map(self._halves, second[first == parent_index]):
+            if admitted[c]:
+                rows[np.searchsorted(cs, c), d >> 3] &= ~np.uint8(1 << (d & 7))
+        return admitted, rows
+
+    def row_count(self, parent_index: int) -> int:
+        """The number of second components that make a delta-matroid with
+        the given first component (child levels 5 and 6)."""
+        return int(np.count_nonzero(np.unpackbits(self._row(parent_index)[1])))
+
     def row_ok(self, parent_index: int) -> np.ndarray:
         """Boolean array over all parents-as-second-component: True where
         the composed system is a delta-matroid (child levels 5 and 6).
 
-        A row never gathers over all parents.  The parents fall into
-        contiguous blocks with one top-element contraction each, so the row
-        first admits or rejects whole blocks, then filters the indices of
-        the admitted parents through the other minors one at a time, each
-        minor gathered only for the parents that survived the earlier ones.
-        """
-        _require_criterion(self.child_n)
-        member = self.member
-        ok = np.repeat(member[self.parent_minors[self._top][parent_index]], self._block_len)
-        later = [
-            (member[minors[parent_index]], minors)
-            for combo, minors in self.parent_minors.items()
-            if combo != self._top
-        ]
-        # slice by slice, so that the index temporaries stay a few MB
-        for start in range(0, len(ok), _ROW_SLICE):
-            part = ok[start:start + _ROW_SLICE]
-            idx = np.flatnonzero(part) + start
-            part[:] = False
-            for window, minors in later:
-                idx = idx[window[minors[idx]]]
-            ok[idx] = True
-        first, second = self._excluded
-        ok[second[first == parent_index]] = False
+        The parents whose contraction c is admitted form contiguous blocks,
+        and each of them reads its verdict in c's grid row at its deletion
+        d: one gather at the admitted parents, with no mask over the
+        whole grid."""
+        admitted, rows = self._row(parent_index)
+        width = len(self.below)
+        grid = np.unpackbits(rows, axis=1, count=width, bitorder="little").view(bool).ravel()
+        block = np.repeat(admitted, self._block_len)
+        row_start = np.arange(0, grid.size, width, dtype=np.int32)
+        ok = np.zeros(len(self.parents), dtype=bool)
+        ok[block] = grid[self._lo[block] + np.repeat(row_start, self._block_len[admitted])]
         return ok
 
     def compose_level(self) -> np.ndarray:
@@ -315,8 +372,8 @@ class _ComposeKernel:
         every row are the AND over c of ``T_c[minors_c]``: one byte-row
         gather per minor and row.  Their bit counts size the output, which
         is filled chunk by chunk of unpacked rows.  At child level 6 one
-        such table would hold 5 960 x 5 M bits: level 6 is counted by
-        row_ok.
+        such table would hold 5 960 x 5 M bits: level 6 is counted row by
+        row.
         """
         if self.child_n > MAX_LISTED_LEVEL:
             raise ResourceLimitError(
@@ -324,7 +381,8 @@ class _ComposeKernel:
             )
         count = len(self.parents)
         packed = np.tile(np.packbits(np.ones(count, dtype=bool), bitorder="little"), (count, 1))
-        for m in self.parent_minors.values():
+        minors = _minor_indices(self.parents, self.child_n - 1)[2] if self.child_n > 1 else {}
+        for m in minors.values():
             packed &= np.packbits(self.member[:, m], axis=1, bitorder="little")[m]
         first, second = self._excluded
         # each first component has at most one excluded second component
@@ -426,12 +484,15 @@ def count_report(
 
 
 def count_even(cache: LevelCache) -> int:
-    """Number of cached systems in which all feasible sizes share a parity."""
+    """Number of cached systems in which all feasible sizes share a parity.
+
+    Counted chunk by chunk, so that the temporaries stay a few hundred KB
+    however large the level."""
     ind = even_parity_indicator(cache.n)
-    v = cache.vectors
-    ev = np.array(ind, dtype=v.dtype)
-    odd = np.array(ind ^ ((1 << (1 << cache.n)) - 1), dtype=v.dtype)
-    return int(np.count_nonzero(((v & ev) == 0) | ((v & odd) == 0)))
+    ev = np.array(ind, dtype=cache.vectors.dtype)
+    odd = np.array(ind ^ ((1 << (1 << cache.n)) - 1), dtype=cache.vectors.dtype)
+    chunks = (cache.vectors[i:i + _EVEN_CHUNK] for i in range(0, len(cache.vectors), _EVEN_CHUNK))
+    return sum(int(np.count_nonzero(((v & ev) == 0) | ((v & odd) == 0))) for v in chunks)
 
 
 # --- equivalence classes under twist and relabelling -------------------------
@@ -514,34 +575,43 @@ def count_next_level_via_classes(
 ) -> int:
     """Count the next level without listing it.
 
-    One compatibility row is evaluated per equivalence class representative
-    and weighted by class size; the improper first component contributes one
-    full previous level.  Requires child level 5 or 6.  With threads > 1 the
-    rows run in a thread pool (the kernel's numpy gathers release the GIL);
-    ``progress(done, total)`` is called after each row, in row order.
+    One compatibility row is counted per equivalence class representative
+    (``row_count``) and weighted by class size; the improper first component
+    contributes one full previous level.  Requires child level 5 or 6.  With
+    threads > 1 the rows run in a thread pool (the kernel's numpy gathers
+    release the GIL); ``progress(done, total)`` is called after each row, in
+    row order.  Each phase is logged at INFO with its seconds: the
+    canonicalization (with the class count), the kernel init and the rows.
 
     Rows cost more the more second components a class admits, and that
     grows along the ascending representatives, so the classes are visited
     in one fixed pseudo-random order: then the rate of the rows done so far
     is an unbiased guide to the rows left.
     """
-    _require_criterion(prev.n + 1)
+    child_n = prev.n + 1
+    _require_criterion(child_n)
+    clock = time.perf_counter
+    start = clock()
     reps, sizes = twist_permutation_classes(prev)
+    logger.info("level %d: %d twist/relabel classes in %.3fs", prev.n, len(reps), clock() - start)
+    start = clock()
     kernel = _ComposeKernel(prev)
+    logger.info("level %d: compose kernel built in %.3fs", child_n, clock() - start)
     rep_indices = np.searchsorted(kernel.parents, reps)
 
     def row(k: int) -> int:
-        ok = kernel.row_ok(int(rep_indices[k]))
-        return int(sizes[k]) * int(np.count_nonzero(ok))
+        return int(sizes[k]) * kernel.row_count(int(rep_indices[k]))
 
     indices = random.Random(_CLASS_ORDER_SEED).sample(range(len(reps)), len(reps))
     total = len(prev)
+    start = clock()
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         rows = pool.map(row, indices) if threads > 1 else map(row, indices)
         for done, subtotal in enumerate(rows, start=1):
             total += subtotal
             if progress is not None:
                 progress(done, len(reps))
+    logger.info("level %d: %d class rows in %.3fs", child_n, len(reps), clock() - start)
     return total
 
 

@@ -15,7 +15,13 @@ import numpy as np
 import pytest
 
 from deltamatroid.constructions import ConstructionError, VertexSet, cut_count_lower_bound_exact
-from deltamatroid.levels import LevelCache, _ComposeKernel, _dtype_for, build_levels
+from deltamatroid.levels import (
+    LevelCache,
+    _ComposeKernel,
+    _dtype_for,
+    _minor_indices,
+    build_levels,
+)
 from deltamatroid.encoding import (
     EncodingError,
     KWResult,
@@ -248,14 +254,22 @@ def cover_certifies(p: Partition, a: int, b: int) -> bool:
 
 # --- compose-kernel oracles --------------------------------------------------
 
-def full_gather_row(kernel, parent_index: int, skip=()) -> np.ndarray:
+def parent_minors(kernel) -> dict:
+    """Each parent's minor per (element, kind), as an index into the level
+    below, from _minor_indices over the kernel's parents: the kernel itself
+    holds no per-parent minors."""
+    return _minor_indices(kernel.parents, kernel.child_n - 1)[2]
+
+
+def full_gather_row(kernel, minors: dict, parent_index: int, skip=()) -> np.ndarray:
     """A compose-kernel row computed the direct way: every (element, kind)
-    minor not in ``skip`` gathered over all parents and ANDed, then the
-    antipodal pair excluded."""
+    minor not in ``skip`` gathered over all parents (``minors`` as
+    parent_minors gives them) and ANDed, then the antipodal pair
+    excluded."""
     ok = np.ones(len(kernel.parents), dtype=bool)
-    for combo, minors in kernel.parent_minors.items():
+    for combo, m in minors.items():
         if combo not in skip:
-            ok &= kernel.member[minors[parent_index]][minors]
+            ok &= kernel.member[m[parent_index]][m]
     d1 = int(kernel.parents[parent_index])
     if d1 == 0:
         ok[0] = False

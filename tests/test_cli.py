@@ -126,6 +126,39 @@ class TestCount:
         assert quiet.out == verbose.out
         assert "1000000000000" in quiet.out
 
+    def test_verbose_class_count_phases_on_stderr_only(self, monkeypatch, capsys):
+        # the real class count, over level 4 so that it is quick: its phase
+        # records and progress go to stderr, and stdout does not change
+        class_count = levels.count_next_level_via_classes
+        level4 = levels.build_levels(4)[4]
+
+        def count_level4(prev, threads=1, progress=None):
+            class_count(level4, threads=threads, progress=progress)
+            return 10**12
+
+        monkeypatch.setattr(levels, "count_next_level_via_classes", count_level4)
+        assert main(["count", "--max-n", "6", "--allow-n6"]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        assert main(["--verbose", "count", "--max-n", "6", "--allow-n6"]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == quiet.out
+        lines = verbose.err.splitlines()
+        records = [line for line in lines if line.startswith("deltamatroid.levels: ")]
+        assert len(records) == 8
+        assert re.fullmatch(
+            r"deltamatroid\.levels: level 4: \d+ twist/relabel classes in \d+\.\d+s",
+            records[5],
+        )
+        assert re.fullmatch(
+            r"deltamatroid\.levels: level 5: compose kernel built in \d+\.\d+s", records[6]
+        )
+        assert re.fullmatch(
+            r"deltamatroid\.levels: level 5: \d+ class rows in \d+\.\d+s", records[7]
+        )
+        assert lines[-1] == records[7]
+        assert any(line.startswith("classes ") for line in lines)
+
     def test_text_table_columns(self, monkeypatch, capsys):
         assert main(["count", "--max-n", "3", "--with-even"]) == 0
         assert capsys.readouterr().out == (

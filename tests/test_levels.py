@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from deltamatroid.levels import (
     LevelCache,
     ResourceLimitError,
     _ComposeKernel,
+    _minor_indices,
     build_levels,
     count_even,
     count_next_level_via_classes,
@@ -40,6 +43,7 @@ from tests.conftest import (
     full_gather_row,
     minor,
     oracle_is_delta_matroid,
+    parent_minors,
     row_loop_level,
 )
 
@@ -166,13 +170,15 @@ class TestMinorIndices:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_match_set_minors(self, levels5, n):
         kernel = _ComposeKernel(levels5[n])
-        assert set(kernel.parent_minors) == {(p, kind) for p in range(n) for kind in MinorKind}
+        below, _, by_combo = _minor_indices(kernel.parents, n)
+        assert np.array_equal(below, kernel.below)
+        assert set(by_combo) == {(p, kind) for p in range(n) for kind in MinorKind}
         rng = random.Random(n)
         picks = [0] + rng.sample(range(1, len(kernel.parents)), 150)
         for i in picks:
             s = SetSystem(n, int(kernel.parents[i]))
-            for (p, kind), minors in kernel.parent_minors.items():
-                assert int(kernel.below[minors[i]]) == minor(s, p + 1, kind).bits, (i, p, kind)
+            for (p, kind), minors in by_combo.items():
+                assert int(below[minors[i]]) == minor(s, p + 1, kind).bits, (i, p, kind)
 
     def test_unlisted_deletion_or_minor_refused(self, levels5):
         v = levels5[3].vectors
@@ -199,14 +205,18 @@ class TestLevel6Kernel:
         return _ComposeKernel(levels5[5])
 
     @pytest.fixture(scope="class")
+    def minors(self, kernel):
+        return parent_minors(kernel)
+
+    @pytest.fixture(scope="class")
     def rows(self, kernel):
         rng = random.Random(20261018)
         picks = [0, 1, len(kernel.parents) - 1] + rng.sample(range(len(kernel.parents)), 4)
         return {i: kernel.row_ok(i) for i in picks}
 
-    def test_rows_match_full_gather(self, kernel, rows):
+    def test_rows_match_full_gather(self, kernel, minors, rows):
         for i, ok in rows.items():
-            assert np.array_equal(ok, full_gather_row(kernel, i)), i
+            assert np.array_equal(ok, full_gather_row(kernel, minors, i)), i
 
     def test_sampled_entries_match_oracle(self, kernel, rows):
         rng = random.Random(6)
@@ -224,6 +234,19 @@ class TestLevel6Kernel:
         size = len(kernel.parents)
         got = {i: int(np.count_nonzero(kernel.row_ok(i % size))) for i in self.PINNED}
         assert got == self.PINNED
+        # the count reads the packed row without the boolean one
+        assert {i: kernel.row_count(i % size) for i in self.PINNED} == self.PINNED
+
+    def test_kernel_holds_no_per_parent_minors(self, levels5):
+        # the tables are member (35 MB), its packed rows, the parents and
+        # their deletions: ten 5 M-entry minor arrays would add 100 MB
+        tracemalloc.start()
+        try:
+            kernel = _ComposeKernel(levels5[5])
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 80 * 2**20, held
 
     # (first, second component) pairs that only the top-contraction minor
     # rejects, found by comparing full_gather_row with and without it: the
@@ -231,24 +254,46 @@ class TestLevel6Kernel:
     # whose contraction by 5 is an antipodal pair on five elements
     TOP_ONLY = [(0x10000, 0x80000000), (0x10000, 0x80008000),
                 (0x400000, 0x2000200), (0x80000000, 0x10001)]
+    # and pairs that only the top-deletion minor rejects, found the same
+    # way: the composite is {B + 6, B'} (or that plus {B' + 5}), whose
+    # deletion by 5 is an antipodal pair on {1, 2, 3, 4, 6}
+    TOP_DELETE_ONLY = [(0x1, 0x8000), (0x1, 0x80008000),
+                       (0x40, 0x2000200), (0x800, 0x100010)]
 
-    def test_top_contraction_alone_rejects(self, kernel, levels5):
-        level = levels5[5].vectors
+    @staticmethod
+    def assert_one_minor_rejects(kernel, level, pairs, rejecting) -> None:
+        """Each composite is not a delta-matroid, every minor but
+        ``rejecting`` is improper or listed, and its row rejects it."""
 
         def member(v: int) -> bool:
             k = int(np.searchsorted(level, v))
             return k < len(level) and int(level[k]) == v
 
-        for d1, d2 in self.TOP_ONLY:
+        for d1, d2 in pairs:
             d = compose(SetSystem(5, d1), SetSystem(5, d2))
             assert not oracle_is_delta_matroid(6, list(d.feasible_masks())), (d1, d2)
             for e in range(1, 6):
                 for kind in MinorKind:
                     m = minor(d, e, kind)
-                    top = (e, kind) == (5, MinorKind.CONTRACT)
-                    assert (not m.is_proper or member(m.bits)) != top, (d1, d2, e, kind)
+                    alone = (e, kind) == rejecting
+                    assert (not m.is_proper or member(m.bits)) != alone, (d1, d2, e, kind)
             i, j = np.searchsorted(kernel.parents, [d1, d2])
             assert not kernel.row_ok(int(i))[j], (d1, d2)
+
+    def test_top_contraction_alone_rejects(self, kernel, levels5):
+        self.assert_one_minor_rejects(
+            kernel, levels5[5].vectors, self.TOP_ONLY, (5, MinorKind.CONTRACT)
+        )
+
+    def test_top_deletion_alone_rejects(self, kernel, minors, levels5):
+        self.assert_one_minor_rejects(
+            kernel, levels5[5].vectors, self.TOP_DELETE_ONLY, (5, MinorKind.DELETE)
+        )
+        # and the full gather finds them only with that minor
+        skip = {(4, MinorKind.DELETE)}
+        for d1, d2 in self.TOP_DELETE_ONLY:
+            i, j = np.searchsorted(kernel.parents, [d1, d2])
+            assert full_gather_row(kernel, minors, int(i), skip)[j], (d1, d2)
 
     def test_whole_level_compose_refused(self, kernel):
         with pytest.raises(ResourceLimitError):
@@ -410,6 +455,17 @@ class TestCounts:
             e = count_even(levels5[n])
             assert e == EXPECTED_E[n]
 
+    def test_even_count_holds_no_level_size_temporaries(self, levels5):
+        # a whole-level (v & mask) == 0 would allocate 20 MB at level 5
+        tracemalloc.start()
+        try:
+            e = count_even(levels5[5])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e == EXPECTED_E[5]
+        assert peak < 8 * 2**20, peak
+
     def test_parity_indicator(self):
         assert even_parity_indicator(2) == 0b1001
         assert even_parity_indicator(3) == 0b01101001
@@ -438,13 +494,13 @@ class TestClassCounting:
         # the rate of the rows done so far stands for the rows left only
         # if the rows are not visited in order of their cost
         visited: list[int] = []
-        row_ok = _ComposeKernel.row_ok
+        row_count = _ComposeKernel.row_count
 
-        def recording_row_ok(kernel, parent_index):
+        def recording_row_count(kernel, parent_index):
             visited.append(parent_index)
-            return row_ok(kernel, parent_index)
+            return row_count(kernel, parent_index)
 
-        monkeypatch.setattr(_ComposeKernel, "row_ok", recording_row_ok)
+        monkeypatch.setattr(_ComposeKernel, "row_count", recording_row_count)
         assert count_next_level_via_classes(levels5[4]) == EXPECTED_D[5]
         first = visited[:]
         visited.clear()
@@ -456,10 +512,25 @@ class TestClassCounting:
 
     @pytest.mark.skipif(
         not os.environ.get("DM_SLOW_TESTS"),
-        reason="full level-6 class count (about 3 minutes, ~0.7 GB); set DM_SLOW_TESTS=1",
+        reason="full level-6 class count (about a minute, ~0.5 GB); set DM_SLOW_TESTS=1",
     )
     def test_level6_count_pinned(self, levels5):
         assert count_next_level_via_classes(levels5[5]) == EXPECTED_D6
+
+    def test_row_count_reads_the_boolean_row(self, levels5):
+        kernel = _ComposeKernel(levels5[4])
+        reps, _ = twist_permutation_classes(levels5[4])
+        for i in np.searchsorted(kernel.parents, reps).tolist():
+            assert kernel.row_count(i) == int(np.count_nonzero(kernel.row_ok(i))), i
+
+    def test_phases_logged(self, levels5, caplog):
+        with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
+            assert count_next_level_via_classes(levels5[4]) == EXPECTED_D[5]
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 3, messages
+        assert re.fullmatch(r"level 4: \d+ twist/relabel classes in \d+\.\d+s", messages[0])
+        assert re.fullmatch(r"level 5: compose kernel built in \d+\.\d+s", messages[1])
+        assert re.fullmatch(r"level 5: \d+ class rows in \d+\.\d+s", messages[2])
 
     def test_row_counts_constant_on_classes(self, levels5):
         # the compatibility count of a first component depends only on its
