@@ -27,7 +27,6 @@ from .setsystem import (
     Matroid,
     SetSystem,
     mask_of,
-    popcount,
 )
 
 
@@ -123,12 +122,12 @@ def sample_cut_vertices(n: int, cut: int, seed: int) -> VertexSet:
     cut_bit = 1 << (cut - 1)
     chosen = []
     for m in range(1 << n):
-        parity = popcount(m) & 1
+        parity = m.bit_count() & 1
         if parity == 0 and not (m & cut_bit):
             if rng.getrandbits(1):
                 chosen.append(m)
     for m in range(1 << n):
-        parity = popcount(m) & 1
+        parity = m.bit_count() & 1
         if parity == 1 and (m & cut_bit):
             if rng.getrandbits(1):
                 chosen.append(m)
@@ -192,14 +191,14 @@ class SparsePavingSpec:
         if ch.n != self.n:
             raise ConstructionError("circuit-hyperplane set over wrong ground set")
         for m in ch.members:
-            if popcount(m) != self.r:
+            if m.bit_count() != self.r:
                 raise ConstructionError(f"circuit-hyperplane {m} is not an {self.r}-set")
 
     def validate_stability(self) -> None:
         masks = self.circuit_hyperplanes.sorted_masks()
         for i, x in enumerate(masks):
             for y in masks[i + 1:]:
-                if popcount(x & y) == self.r - 1:
+                if (x & y).bit_count() == self.r - 1:
                     raise StabilityViolationError(
                         f"{x} and {y} share {self.r - 1} elements"
                     )

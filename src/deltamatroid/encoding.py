@@ -32,7 +32,6 @@ from .setsystem import (
     SetSystem,
     SystemFormatError,
     is_even,
-    popcount,
     twist,
 )
 
@@ -232,9 +231,9 @@ def local_cover(d: SetSystem, x: int) -> Partition:
     """
     if not is_even(d):
         raise EncodingError("local covers require an even delta-matroid")
-    if popcount(_lowest_mask(d)) & 1:
+    if _lowest_mask(d).bit_count() & 1:
         raise EncodingError("system must be all-even (twist by {1} first)")
-    if popcount(x) & 1:
+    if x.bit_count() & 1:
         raise EncodingError(f"target set {x} has odd size")
     if d.has_mask(x):
         raise EncodingError(f"target set {x} is feasible")
@@ -339,7 +338,7 @@ def encode_even_system(d: SetSystem) -> EncodingRecord:
     if not is_even(d):
         raise EncodingError("system is not even")
     parity = Parity.EVEN
-    if popcount(_lowest_mask(d)) & 1:
+    if _lowest_mask(d).bit_count() & 1:
         parity = Parity.ODD
         d = twist(d, 1)
     feasible = _feasibility_bytes(d)

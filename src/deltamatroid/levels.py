@@ -30,6 +30,7 @@ ascending, and can be persisted in a small binary format (see LevelCache).
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import logging
 import math
 import os
@@ -502,67 +503,47 @@ def count_even(cache: LevelCache) -> int:
 # constant on classes, so one exhaustive scan per class representative
 # suffices to count the next level.
 
-def _position_xor_transform(vals: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Twist by element q+1: permute vector bits by mask-XOR with 2^q."""
-    s = 1 << q
-    low = 0
-    for m in range(1 << n):
-        if not (m >> q) & 1:
-            low |= 1 << m
-    lo = np.array(low, dtype=vals.dtype)
-    sh = np.array(s, dtype=vals.dtype)
-    return ((vals & lo) << sh) | ((vals >> sh) & lo)
+_SWEEP_WINDOW = 1024
 
 
-def _position_swap_transform(vals: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Transpose elements q+1 and q+2: swap the two index bits of each mask."""
-    s = 1 << q
-    move = 0
-    keep = 0
-    for m in range(1 << n):
-        b1, b2 = (m >> q) & 1, (m >> (q + 1)) & 1
-        if b1 == 1 and b2 == 0:
-            move |= 1 << m
-        elif b1 == b2:
-            keep |= 1 << m
-    mv = np.array(move, dtype=vals.dtype)
-    kp = np.array(keep, dtype=vals.dtype)
-    sh = np.array(s, dtype=vals.dtype)
-    return (vals & kp) | ((vals & mv) << sh) | ((vals >> sh) & mv)
-
-
-def twist_permutation_canonical(cache: LevelCache) -> np.ndarray:
-    """Per-entry canonical form: the minimum vector in its orbit under
-    twists and relabellings.  Computed by minimum propagation along the
-    orbit graph of involutive generators."""
-    vals = cache.vectors
-    n = cache.n
-    transforms: list[Callable[[np.ndarray], np.ndarray]] = []
-    for q in range(n):
-        transforms.append(lambda v, q=q: _position_xor_transform(v, n, q))
-    for q in range(n - 1):
-        transforms.append(lambda v, q=q: _position_swap_transform(v, n, q))
-    index_maps = []
-    for t in transforms:
-        images = t(vals)
-        idx = np.searchsorted(vals, images)
-        if np.any(vals[np.minimum(idx, len(vals) - 1)] != images):
-            raise CacheInvariantError("cache not closed under twist/relabel")
-        index_maps.append(idx)
-    canon = vals.copy()
-    while True:
-        new = canon.copy()
-        for idx in index_maps:
-            np.minimum(new, canon[idx], out=new)
-        if np.array_equal(new, canon):
-            return canon
-        canon = new
+def _symmetries(n: int) -> np.ndarray:
+    """One row per (relabelling sigma, twist t) of {1..n}: column m holds
+    sigma(m) ^ t, the mask that subset m goes to.  n! * 2^n rows."""
+    masks = np.arange(1 << n)
+    relabel = np.zeros((math.factorial(n), 1 << n), dtype=masks.dtype)
+    for row, sigma in zip(relabel, itertools.permutations(range(n))):
+        for q, p in enumerate(sigma):
+            row |= ((masks >> q) & 1) << p
+    return (relabel[:, None, :] ^ masks[None, :, None]).reshape(-1, 1 << n)
 
 
 def twist_permutation_classes(cache: LevelCache) -> tuple[np.ndarray, np.ndarray]:
-    """(representatives, class sizes); representatives are orbit minima."""
-    canon = twist_permutation_canonical(cache)
-    return np.unique(canon, return_counts=True)
+    """(representatives, class sizes); representatives are orbit minima,
+    ascending.
+
+    The sweep visits the level in ascending order.  The first system not
+    yet seen is the minimum of its orbit, since every other member is
+    also unseen and so comes later; its whole orbit is the images under
+    every symmetry, and is marked seen.  The next unseen system is found
+    by argmin over a window of the seen flags at a time."""
+    vals = cache.vectors
+    group = _symmetries(cache.n)
+    seen = np.zeros(len(vals), dtype=bool)
+    reps, sizes = [], []
+    for start in range(0, len(vals), _SWEEP_WINDOW):
+        window = seen[start:start + _SWEEP_WINDOW]
+        while not window[k := int(window.argmin())]:
+            i = start + k
+            bits = np.unpackbits(vals[i:i + 1].view(np.uint8), bitorder="little")
+            images = np.packbits(bits[group], axis=1, bitorder="little").view(vals.dtype)
+            orbit = np.unique(images)
+            j = np.searchsorted(vals, orbit)
+            if np.any(vals[np.minimum(j, len(vals) - 1)] != orbit):
+                raise CacheInvariantError("cache not closed under twist/relabel")
+            seen[j] = True
+            reps.append(vals[i])
+            sizes.append(len(orbit))
+    return np.array(reps, dtype=vals.dtype), np.array(sizes, dtype=np.int64)
 
 
 _CLASS_ORDER_SEED = 0

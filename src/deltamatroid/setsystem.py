@@ -33,22 +33,6 @@ class MinorKind(Enum):
     CONTRACT = "contract"
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
-def iter_bits(x: int) -> Iterator[int]:
-    """Yield the positions of the set bits of x, ascending.
-
-    Each step clears one bit of x, a pass over the whole int: right for
-    n-bit masks, not for feasibility vectors (see bit_positions).
-    """
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def bit_positions(x: int) -> list[int]:
     """The positions of the set bits of x, ascending, read from one binary
     string, so the cost is linear in the bit length of x."""
@@ -65,7 +49,7 @@ def mask_of(elements: Iterable[int]) -> int:
 
 def elements_of(mask: int) -> tuple[int, ...]:
     """1-based elements of a subset mask, ascending."""
-    return tuple(p + 1 for p in iter_bits(mask))
+    return tuple(p + 1 for p in bit_positions(mask))
 
 
 @dataclass(frozen=True)
@@ -104,7 +88,7 @@ class SetSystem:
 
     @property
     def num_feasible(self) -> int:
-        return popcount(self.bits)
+        return self.bits.bit_count()
 
     def feasible_masks(self) -> Iterator[int]:
         """Feasible subset masks, ascending."""
@@ -236,7 +220,7 @@ def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
 
 def _first_witness(feas: list[int], near: list[int], x: int, blocked: int) -> ExchangeWitness:
     """The first (Y, e) violating with X, for an X that has one."""
-    flips = [(1 << p, near[x ^ (1 << p)] & ~(1 << p)) for p in iter_bits(blocked)]
+    flips = [(1 << p, near[x ^ (1 << p)] & ~(1 << p)) for p in bit_positions(blocked)]
     for y in feas:
         d = x ^ y
         for flip, allowed in flips:

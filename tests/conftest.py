@@ -39,7 +39,6 @@ from deltamatroid.setsystem import (
     SetSystem,
     check_symmetric_exchange,
     even_parity_indicator,
-    popcount,
     twist,
 )
 
@@ -202,7 +201,7 @@ def is_matroid(b: SetSystem) -> bool:
     """True iff the feasible sets are equicardinal and exchange holds."""
     if not b.is_proper:
         raise ImproperSystemError("matroid test is undefined for improper systems")
-    sizes = {popcount(m) for m in b.feasible_masks()}
+    sizes = {m.bit_count() for m in b.feasible_masks()}
     if len(sizes) != 1:
         return False
     return check_symmetric_exchange(b) is None
@@ -220,7 +219,7 @@ def evens_plus_all_odds(n: int, a: VertexSet) -> SetSystem:
         raise ConstructionError(f"vertex set is over n={a.n}, expected {n}")
     bits = 0
     for m in a.members:
-        if popcount(m) & 1:
+        if m.bit_count() & 1:
             raise ConstructionError(f"member {m} has odd size")
         bits |= 1 << m
     odd = even_parity_indicator(n) ^ ((1 << (1 << n)) - 1)
@@ -296,6 +295,45 @@ def row_loop_level(prev: LevelCache) -> LevelCache:
         second = kernel.parents[kernel.row_ok(i)].astype(dtype)
         pieces.append(second | (np.array(d1, dtype=dtype) << half))
     return LevelCache(kernel.child_n, np.concatenate(pieces))
+
+
+# --- twist/relabel class oracle ----------------------------------------------
+
+def _generators(n: int) -> list:
+    """The twists by {e} and the transpositions of e and e + 1, acting on
+    each feasible set as a Python set of 1-based elements."""
+    twists = [lambda f, e=e: f ^ {e} for e in range(1, n + 1)]
+    swaps = [lambda f, e=e: {{e: e + 1, e + 1: e}.get(x, x) for x in f} for e in range(1, n)]
+    return twists + swaps
+
+
+def oracle_orbit(s: SetSystem) -> set[int]:
+    """Feasibility vectors of every twist of every relabelling of s, by
+    closing {s} under the generators."""
+    moves = _generators(s.n)
+    orbit, frontier = {s.bits}, [s]
+    while frontier:
+        sets = frontier.pop().feasible_sets()
+        for move in moves:
+            image = SetSystem.from_sets(s.n, (move(set(f)) for f in sets))
+            if image.bits not in orbit:
+                orbit.add(image.bits)
+                frontier.append(image)
+    return orbit
+
+
+def oracle_classes(cache: LevelCache) -> tuple[list[int], list[int]]:
+    """(representatives, class sizes) of a level's twist/relabel classes,
+    representatives the orbit minima, ascending."""
+    seen: set[int] = set()
+    reps, sizes = [], []
+    for bits in cache.vectors.tolist():
+        if bits not in seen:
+            orbit = oracle_orbit(SetSystem(cache.n, bits))
+            seen |= orbit
+            reps.append(min(orbit))
+            sizes.append(len(orbit))
+    return reps, sizes
 
 
 def kw_encode(n: int, l_set) -> KWResult:

@@ -34,7 +34,6 @@ from deltamatroid.levels import (
     enumerate_level,
     gamma_value,
     cache_path,
-    twist_permutation_canonical,
     twist_permutation_classes,
 )
 from tests.conftest import (
@@ -42,7 +41,9 @@ from tests.conftest import (
     compose,
     full_gather_row,
     minor,
+    oracle_classes,
     oracle_is_delta_matroid,
+    oracle_orbit,
     parent_minors,
     row_loop_level,
 )
@@ -512,7 +513,7 @@ class TestClassCounting:
 
     @pytest.mark.skipif(
         not os.environ.get("DM_SLOW_TESTS"),
-        reason="full level-6 class count (about a minute, ~0.5 GB); set DM_SLOW_TESTS=1",
+        reason="full level-6 class count (about a minute, ~0.25 GB); set DM_SLOW_TESTS=1",
     )
     def test_level6_count_pinned(self, levels5):
         assert count_next_level_via_classes(levels5[5]) == EXPECTED_D6
@@ -535,13 +536,13 @@ class TestClassCounting:
     def test_row_counts_constant_on_classes(self, levels5):
         # the compatibility count of a first component depends only on its
         # twist/relabel class; spot-check several classes directly
-        canon = twist_permutation_canonical(levels5[4])
         kernel = _ComposeKernel(levels5[4])
         rng = random.Random(7)
         values = levels5[4].vectors
         by_class: dict[int, list[int]] = {}
         for idx in rng.sample(range(len(values)), 400):
-            by_class.setdefault(int(canon[idx]), []).append(idx)
+            rep = min(oracle_orbit(SetSystem(4, int(values[idx]))))
+            by_class.setdefault(rep, []).append(idx)
         checked = 0
         for members in by_class.values():
             if len(members) < 2:
@@ -552,6 +553,28 @@ class TestClassCounting:
             assert len(counts) == 1
             checked += 1
         assert checked >= 20
+
+    def test_classes_match_orbit_oracle(self, levels5):
+        for n in (3, 4):
+            reps, sizes = twist_permutation_classes(levels5[n])
+            assert (reps.tolist(), sizes.tolist()) == oracle_classes(levels5[n])
+            assert reps.dtype == levels5[n].vectors.dtype and sizes.dtype == np.int64
+
+    def test_level5_classes_pinned(self, levels5):
+        reps, sizes = twist_permutation_classes(levels5[5])
+        assert len(reps) == 2902
+        assert int(sizes.sum()) == EXPECTED_D[5]
+        digest = hashlib.sha256(reps.tobytes() + sizes.tobytes()).hexdigest()
+        assert digest == "99eafca1173b9c65589edba750bb70875e6821882e077eed33c7128a6f33cd29"
+
+    def test_classes_refuse_a_level_not_closed(self, levels5):
+        # 1 is the class minimum of the single-set systems and 1 << 15 one
+        # more member of that class, reached only as an image
+        vectors = levels5[4].vectors
+        for missing in (1, 1 << 15):
+            kept = LevelCache(4, vectors[vectors != missing])
+            with pytest.raises(CacheInvariantError, match="not closed"):
+                twist_permutation_classes(kept)
 
     def test_classes_closed_under_generators(self, levels5):
         reps, _ = twist_permutation_classes(levels5[3])
