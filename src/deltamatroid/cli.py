@@ -2,7 +2,8 @@
 
 Subcommands: check, count, count-even, construct, encode, decode,
 roundtrip, spectrum, bound.  Exit codes: 0 success/pass, 1 property
-violation, 2 usage or I/O error, 3 resource limit.  Output is
+violation, 2 usage, format or I/O error (a level cache that is not a
+complete level included), 3 resource limit.  Output is
 deterministic for a fixed invocation; the DM_CACHE_DIR environment
 variable overrides any --cache-dir setting.
 """
@@ -343,6 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         UsageError,
         setsystem.SystemFormatError,
         levels.CacheFormatError,
+        levels.CacheInvariantError,
         setsystem.ImproperSystemError,
         encoding.EncodingError,
         constructions.ConstructionError,

@@ -215,6 +215,25 @@ class TestCount:
         doc = json.loads(capsys.readouterr().out)
         assert doc["levels"][-1]["d"] == 155
 
+    def test_cache_that_is_not_a_complete_level(self, tmp_path, capsys):
+        # a flipped order-preserving bit leaves the level-4 file valid on
+        # its own, but one of its systems then has a deletion by the top
+        # element that level 4 does not list, and level 5 is built from it
+        assert main(["count", "--max-n", "4"]) == 0
+        capsys.readouterr()
+        path = cache_path(tmp_path / "cache", 4)
+        with open(path, "rb") as fh:
+            data = bytearray(fh.read())
+        offset = 14 + 2 * 3001
+        assert data[offset:offset + 2] == (0x9EF9).to_bytes(2, "little")
+        data[offset] ^= 1
+        with open(path, "wb") as fh:
+            fh.write(data)
+        assert main(["count", "--max-n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a top-element deletion is not listed\n"
+
     def test_verbose_logs_level_store_to_stderr_only(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("DM_CACHE_DIR")
         cache_dir = tmp_path / "flag-cache"

@@ -238,6 +238,26 @@ class TestLevel6Kernel:
         # the count reads the packed row without the boolean one
         assert {i: kernel.row_count(i % size) for i in self.PINNED} == self.PINNED
 
+    def test_tables_hold_only_the_rows_read(self, kernel, monkeypatch):
+        built = []
+        pack = levels._pack_columns
+
+        def recording(table, minors):
+            built.append(len(table))
+            return pack(table, minors)
+
+        monkeypatch.setattr(levels, "_pack_columns", recording)
+        # row 123456 admits 134 c, whose minors are 20 or 32 of the 156
+        # systems two levels down
+        assert kernel.row_count(123456) == self.PINNED[123456]
+        cs = np.flatnonzero(kernel.member[kernel._halves(123456)[0]])
+        read = [len(np.unique(m[cs])) for m in kernel._lower.values()]
+        assert built == read and max(read) < len(kernel._compose), read
+        # the improper first component admits every c, so every row is read
+        built.clear()
+        assert kernel.row_count(0) == self.PINNED[0]
+        assert built == [len(kernel._compose)] * len(kernel._lower)
+
     def test_kernel_holds_no_per_parent_minors(self, levels5):
         # the tables are member (35 MB), its packed rows, the parents and
         # their deletions: ten 5 M-entry minor arrays would add 100 MB
@@ -513,7 +533,7 @@ class TestClassCounting:
 
     @pytest.mark.skipif(
         not os.environ.get("DM_SLOW_TESTS"),
-        reason="full level-6 class count (about a minute, ~0.25 GB); set DM_SLOW_TESTS=1",
+        reason="full level-6 class count (about half a minute, ~0.25 GB); set DM_SLOW_TESTS=1",
     )
     def test_level6_count_pinned(self, levels5):
         assert count_next_level_via_classes(levels5[5]) == EXPECTED_D6
