@@ -15,8 +15,6 @@ import json
 import logging
 import os
 import sys
-import time
-from typing import Callable
 
 from . import constructions, encoding, levels, setsystem
 
@@ -98,35 +96,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_PASS if verdict else EXIT_VIOLATION
 
 
-def _class_progress() -> Callable[[int, int], None]:
-    """A progress callback for the level-6 class rows that prints, every 50
-    rows, the seconds since it was made and the time left at the rate
-    since the first row."""
-    start = time.perf_counter()
-    first_row = start
-
-    def progress(done: int, total: int) -> None:
-        nonlocal first_row
-        now = time.perf_counter()
-        if done == 1:
-            first_row = now
-        if done % 50 == 0 or done == total:
-            eta = (now - first_row) / max(done - 1, 1) * (total - done)
-            print(f"classes {done}/{total} {now - start:.1f}s eta {eta:.0f}s", file=sys.stderr)
-
-    return progress
-
-
 def cmd_count(args: argparse.Namespace) -> int:
     levels.check_count_limits(args.max_n, args.allow_n6)
     store = levels.build_levels(
         min(args.max_n, levels.MAX_LISTED_LEVEL),
         cache_dir=_resolve_cache_dir(args.cache_dir),
     )
-    progress = _class_progress() if args.verbose else None
     reports = levels.count_report(
         args.max_n, store, with_even=args.with_even, allow_n6=args.allow_n6,
-        threads=args.threads, progress=progress,
+        threads=args.threads,
     )
     doc = {
         "levels": [

@@ -241,32 +241,22 @@ def local_cover(d: SetSystem, x: int) -> Partition:
     bases = {pair for pair in _pair_masks(d.n) if feasible[x ^ pair]}
     if not bases:
         return single_block_partition(d.n)
-    non_loops = [
-        e for e in range(1, d.n + 1)
-        if any(basis & (1 << (e - 1)) for basis in bases)
-    ]
-    loops = [e for e in range(1, d.n + 1) if e not in non_loops]
-    classes: list[set[int]] = []
-    for e in non_loops:
-        for cls in classes:
-            rep = next(iter(cls))
-            if ((1 << (e - 1)) | (1 << (rep - 1))) not in bases:
-                cls.add(e)
-                break
-        else:
-            classes.append({e})
-    for cls in classes:
-        for a in cls:
-            for b in cls:
-                if a < b and ((1 << (a - 1)) | (1 << (b - 1))) in bases:
-                    raise EncodingError("parallelism is not transitive")
-    for c1, c2 in combinations(classes, 2):
-        for a in c1:
-            for b in c2:
-                if ((1 << (a - 1)) | (1 << (b - 1))) not in bases:
-                    raise EncodingError("cross-class pair is not a basis")
-    blocks = [frozenset({0, *loops})] + [frozenset(c) for c in classes]
-    return Partition(d.n, tuple(blocks))
+    bits = {e: 1 << (e - 1) for e in range(1, d.n + 1)}
+    non_loops = [e for e in bits if any(basis & bits[e] for basis in bases)]
+    # e's block: the non-loops f with {e, f} not a basis, e itself included
+    classes = sorted(
+        {frozenset(f for f in non_loops if bits[e] | bits[f] not in bases) for e in non_loops},
+        key=min,
+    )
+    # every non-loop is in its own block: the blocks are disjoint iff their sizes add up
+    if sum(map(len, classes)) == len(non_loops):
+        loops = frozenset(bits) - frozenset(non_loops)
+        cover = Partition(d.n, (loops | {0}, *classes))
+        if certified_flips(cover) == bases:
+            return cover
+    raise EncodingError(
+        "the pairs {a, b} with X ^ {a, b} feasible are not the bases of a rank-2 matroid"
+    )
 
 
 def certified_flips(p: Partition) -> frozenset[int]:

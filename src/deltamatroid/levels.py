@@ -38,7 +38,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -233,10 +233,6 @@ def _pack_columns(table: np.ndarray, minors: np.ndarray) -> np.ndarray:
 _CRITERION_FROM = 5
 _COMPOSE_CHUNK = 1024
 _EVEN_CHUNK = 1 << 16
-# the number of set bits of each byte value
-_BYTE_WEIGHT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8
-)
 
 
 def _require_criterion(child_n: int) -> None:
@@ -354,7 +350,7 @@ class _ComposeKernel:
     def row_count(self, parent_index: int) -> int:
         """The number of second components that make a delta-matroid with
         the given first component (child levels 5 and 6)."""
-        return int(np.count_nonzero(np.unpackbits(self._row(parent_index)[1])))
+        return int(np.bitwise_count(self._row(parent_index)[1]).sum())
 
     def row_ok(self, parent_index: int) -> np.ndarray:
         """Boolean array over all parents-as-second-component: True where
@@ -377,7 +373,9 @@ class _ComposeKernel:
         """Every delta-matroid on child_n <= 5 elements, ascending, from all
         rows at once.
 
-        Per (element, kind) c, ``T_c[x]`` packs the column
+        Each parent's minor per (element, kind) c comes from the kernel's
+        own tables: its halves at the top element, and
+        ``compose[m[a], m[b]]`` below it.  ``T_c[x]`` packs the column
         ``member[x, minors_c]`` over all parents, so the packed verdicts of
         every row are the AND over c of ``T_c[minors_c]``: one byte-row
         gather per minor and row.  Their bit counts size the output, which
@@ -391,13 +389,17 @@ class _ComposeKernel:
             )
         count = len(self.parents)
         packed = np.tile(np.packbits(np.ones(count, dtype=bool), bitorder="little"), (count, 1))
-        minors = _minor_indices(self.parents, self.child_n - 1)[2] if self.child_n > 1 else {}
-        for m in minors.values():
-            packed &= np.packbits(self.member[:, m], axis=1, bitorder="little")[m]
+        minors = []
+        if self.child_n > 1:
+            hi = np.repeat(np.arange(len(self.below), dtype=np.uint16), self._block_len)
+            lo = self._lo
+            minors = [hi, lo, *(self._compose[m[hi], m[lo]] for m in self._lower.values())]
+        for m in minors:
+            packed &= _pack_columns(self.member, m)[m]
         first, second = self._excluded
         # each first component has at most one excluded second component
         packed[first, second >> 3] &= ~np.left_shift(1, second & 7).astype(np.uint8)
-        sizes = _BYTE_WEIGHT[packed].sum(axis=1, dtype=np.int64)
+        sizes = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
         dtype = _dtype_for(self.child_n)
         wide = self.parents.astype(dtype)
         # parents are ascending and the first component occupies the high
@@ -470,14 +472,13 @@ def count_report(
     with_even: bool = False,
     allow_n6: bool = False,
     threads: int = 1,
-    progress: Callable[[int, int], None] | None = None,
 ) -> list[CountReport]:
     """Exact counts and gamma statistics for levels 1..n_max.
 
     ``levels`` must hold caches for 1..min(n_max, 5).  Level 6 is count-only
     and gated behind allow_n6; it is counted from level 5 by
-    equivalence-class counting (slow), with ``threads`` and ``progress``
-    passed to count_next_level_via_classes.
+    equivalence-class counting (slow), with ``threads`` passed to
+    count_next_level_via_classes, which logs its progress.
     """
     check_count_limits(n_max, allow_n6)
     reports = []
@@ -486,7 +487,7 @@ def count_report(
             d = len(levels[n])
             e = count_even(levels[n]) if with_even else None
         else:
-            d = count_next_level_via_classes(levels[5], threads=threads, progress=progress)
+            d = count_next_level_via_classes(levels[5], threads=threads)
             e = None
         reports.append(CountReport(n=n, d=d, gamma=gamma_value(n, d), e=e))
     _verify_count_invariants(reports)
@@ -558,20 +559,19 @@ def twist_permutation_classes(cache: LevelCache) -> tuple[np.ndarray, np.ndarray
 _CLASS_ORDER_SEED = 0
 
 
-def count_next_level_via_classes(
-    prev: LevelCache,
-    threads: int = 1,
-    progress: Callable[[int, int], None] | None = None,
-) -> int:
+def count_next_level_via_classes(prev: LevelCache, threads: int = 1) -> int:
     """Count the next level without listing it.
 
     One compatibility row is counted per equivalence class representative
     (``row_count``) and weighted by class size; the improper first component
-    contributes one full previous level.  Requires child level 5 or 6.  With
-    threads > 1 the rows run in a thread pool (the kernel's numpy gathers
-    release the GIL); ``progress(done, total)`` is called after each row, in
-    row order.  Each phase is logged at INFO with its seconds: the
+    contributes one full previous level.  Requires child level 5 or 6.  The
+    rows run in a pool of ``threads`` threads (the kernel's numpy gathers
+    release the GIL).  Each phase is logged at INFO with its seconds: the
     canonicalization (with the class count), the kernel init and the rows.
+    In between, every 50th row and the last are logged at INFO, in row
+    order, with the seconds since the count began and the time left at
+    the rate since the first row, such as
+    ``level 6: classes 50/2902 5.1s eta 22s``.
 
     Rows cost more the more second components a class admits, and that
     grows along the ascending representatives, so the classes are visited
@@ -581,7 +581,7 @@ def count_next_level_via_classes(
     child_n = prev.n + 1
     _require_criterion(child_n)
     clock = time.perf_counter
-    start = clock()
+    began = start = clock()
     reps, sizes = twist_permutation_classes(prev)
     logger.info("level %d: %d twist/relabel classes in %.3fs", prev.n, len(reps), clock() - start)
     start = clock()
@@ -594,13 +594,19 @@ def count_next_level_via_classes(
 
     indices = random.Random(_CLASS_ORDER_SEED).sample(range(len(reps)), len(reps))
     total = len(prev)
-    start = clock()
+    start = first_row = clock()
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = pool.map(row, indices) if threads > 1 else map(row, indices)
-        for done, subtotal in enumerate(rows, start=1):
+        for done, subtotal in enumerate(pool.map(row, indices), start=1):
             total += subtotal
-            if progress is not None:
-                progress(done, len(reps))
+            if done == 1:
+                first_row = clock()
+            if (done % 50 == 0 or done == len(reps)) and logger.isEnabledFor(logging.INFO):
+                now = clock()
+                eta = (now - first_row) / max(done - 1, 1) * (len(reps) - done)
+                logger.info(
+                    "level %d: classes %d/%d %.1fs eta %.0fs",
+                    child_n, done, len(reps), now - began, eta,
+                )
     logger.info("level %d: %d class rows in %.3fs", child_n, len(reps), clock() - start)
     return total
 

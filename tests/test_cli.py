@@ -101,51 +101,51 @@ class TestCount:
         assert "resource limit" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
 
-    def test_verbose_level6_progress_has_eta(self, monkeypatch, capsys):
-        def class_count(prev, threads=1, progress=None):
-            for done in range(1, 121):
-                if progress is not None:
-                    progress(done, 120)
+    @pytest.fixture
+    def count_level4(self, monkeypatch):
+        """The real class count, over level 4 so that it is quick, in place
+        of the level-6 one; it reports 10**12."""
+        class_count = levels.count_next_level_via_classes
+        level4 = levels.build_levels(4)[4]
+
+        def counted(prev, threads=1):
+            class_count(level4, threads=threads)
             return 10**12
 
-        monkeypatch.setattr(levels, "count_next_level_via_classes", class_count)
+        monkeypatch.setattr(levels, "count_next_level_via_classes", counted)
+
+    def test_verbose_level6_progress_has_eta(self, count_level4, capsys):
         assert main(["--verbose", "count", "--max-n", "6", "--allow-n6"]) == 0
         verbose = capsys.readouterr()
-        # the level-store records come first, then the class progress
+        # the level-store records come first, then the class count's
         lines = verbose.err.splitlines()
-        store = [line for line in lines if line.startswith("deltamatroid.levels: ")]
-        assert len(store) == 5
-        lines = lines[len(store):]
-        assert [line.split()[1] for line in lines] == ["50/120", "100/120", "120/120"]
-        for line in lines:
-            assert re.fullmatch(r"classes \d+/120 \d+\.\ds eta \d+s", line), line
-        assert lines[-1].endswith(" eta 0s")
+        assert all(line.startswith("deltamatroid.levels: ") for line in lines), lines
+        assert all(" systems in " in line for line in lines[:5])
+        progress = [line for line in lines if ": classes " in line]
+        assert [line.split()[4] for line in progress] == ["50/90", "90/90"]
+        for line in progress:
+            assert re.fullmatch(
+                r"deltamatroid\.levels: level 5: classes \d+/90 \d+\.\ds eta \d+s", line
+            ), line
+        assert progress[-1].endswith(" eta 0s")
         assert main(["count", "--max-n", "6", "--allow-n6"]) == 0
         quiet = capsys.readouterr()
         assert quiet.err == ""
         assert quiet.out == verbose.out
         assert "1000000000000" in quiet.out
 
-    def test_verbose_class_count_phases_on_stderr_only(self, monkeypatch, capsys):
-        # the real class count, over level 4 so that it is quick: its phase
-        # records and progress go to stderr, and stdout does not change
-        class_count = levels.count_next_level_via_classes
-        level4 = levels.build_levels(4)[4]
-
-        def count_level4(prev, threads=1, progress=None):
-            class_count(level4, threads=threads, progress=progress)
-            return 10**12
-
-        monkeypatch.setattr(levels, "count_next_level_via_classes", count_level4)
+    def test_verbose_class_count_phases_on_stderr_only(self, count_level4, capsys):
+        # the class count's phase and progress records go to stderr, and
+        # stdout does not change
         assert main(["count", "--max-n", "6", "--allow-n6"]) == 0
         quiet = capsys.readouterr()
         assert quiet.err == ""
         assert main(["--verbose", "count", "--max-n", "6", "--allow-n6"]) == 0
         verbose = capsys.readouterr()
         assert verbose.out == quiet.out
-        lines = verbose.err.splitlines()
-        records = [line for line in lines if line.startswith("deltamatroid.levels: ")]
-        assert len(records) == 8
+        records = verbose.err.splitlines()
+        assert all(line.startswith("deltamatroid.levels: ") for line in records), records
+        assert len(records) == 10, records
         assert re.fullmatch(
             r"deltamatroid\.levels: level 4: \d+ twist/relabel classes in \d+\.\d+s",
             records[5],
@@ -153,11 +153,10 @@ class TestCount:
         assert re.fullmatch(
             r"deltamatroid\.levels: level 5: compose kernel built in \d+\.\d+s", records[6]
         )
+        assert [line.split()[4] for line in records[7:9]] == ["50/90", "90/90"]
         assert re.fullmatch(
-            r"deltamatroid\.levels: level 5: \d+ class rows in \d+\.\d+s", records[7]
+            r"deltamatroid\.levels: level 5: \d+ class rows in \d+\.\d+s", records[9]
         )
-        assert lines[-1] == records[7]
-        assert any(line.startswith("classes ") for line in lines)
 
     def test_text_table_columns(self, monkeypatch, capsys):
         assert main(["count", "--max-n", "3", "--with-even"]) == 0

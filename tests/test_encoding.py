@@ -35,6 +35,7 @@ from deltamatroid.encoding import (
     _pair_masks,
     _peel,
     bell_number,
+    certified_flips,
     component_alpha,
     component_sigma,
     decode_even_system,
@@ -288,15 +289,15 @@ class TestLocalCover:
             if (a, b) != (1, 2):
                 assert not cover_certifies(p, a, b)
 
-    @pytest.mark.parametrize("sets, message", [
-        ([[1, 2], [3, 4]], "not transitive"),
-        ([[1, 2], [3, 4], [1, 3]], "cross-class"),
+    @pytest.mark.parametrize("sets, flaw", [
+        ([[1, 2], [3, 4]], "not transitive"),  # 3 and 4 parallel to 1, but {3, 4} a basis
+        ([[1, 2], [3, 4], [1, 3]], "cross-class"),  # classes {1, 4} and {2, 3}, but {2, 4} no basis
     ])
-    def test_rejects_non_matroid_neighbourhood(self, sets, message):
+    def test_rejects_non_matroid_neighbourhood(self, sets, flaw):
         # even systems that are not delta-matroids: the feasible pairs
         # next to the empty set are not the bases of a rank-2 matroid
         d = SetSystem.from_sets(4, sets)
-        with pytest.raises(EncodingError, match=message):
+        with pytest.raises(EncodingError, match="not the bases of a rank-2 matroid"):
             local_cover(d, 0)
 
     def test_far_sets_give_single_block(self):
@@ -334,23 +335,22 @@ class TestLocalCover:
         assert not cover_certifies(q, 3, 4)  # z-block member
         assert cover_certifies(q, 1, 4)
 
-    def test_exhaustive_classification_small(self, levels4):
-        # every infeasible even set of every all-even system is classified
-        # correctly for all pairs by its local cover
-        for n in (2, 3, 4):
-            full = (1 << n) - 1
-            for s in levels4[n].systems():
-                if not is_even(s):
-                    continue
+    def test_exhaustive_classification_small(self, levels5):
+        # every infeasible even X of every even delta-matroid on 2..5
+        # elements, twisted to all-even: the cover certifies exactly the
+        # pairs {a, b} with X ^ {a, b} feasible
+        for n in (2, 3, 4, 5):
+            pairs = _pair_masks(n)
+            v = levels5[n].vectors
+            ev = v.dtype.type(even_parity_indicator(n))
+            for bits in v[((v & ev) == 0) | ((v & ~ev) == 0)].tolist():
+                s = SetSystem(n, bits)
                 if popcount(next(s.feasible_masks())) & 1:
                     s = twist(s, 1)
-                for x in range(1 << n):
-                    if popcount(x) & 1 or s.has_mask(x):
-                        continue
-                    p = local_cover(s, x)
-                    for a, b in combinations(range(1, n + 1), 2):
-                        flip = (1 << (a - 1)) | (1 << (b - 1))
-                        assert cover_certifies(p, a, b) == s.has_mask(x ^ flip)
+                for x in even_masks(n):
+                    if not s.has_mask(x):
+                        flips = {f for f in pairs if s.has_mask(x ^ f)}
+                        assert certified_flips(local_cover(s, x)) == flips, (bits, x)
 
 
 class TestRecords:

@@ -101,6 +101,28 @@ class TestLevelFive:
             levels5[n].save(path)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, n
 
+    def test_tables_packed_once_from_the_kernel(self, levels5, tmp_path, monkeypatch):
+        # the parents' minors come from the kernel's own tables, with no
+        # second pass of the minor recursion: one packed table per
+        # (element, kind), two at the top element and six below it
+        kernel = _ComposeKernel(levels5[4])
+        packed = []
+        pack = levels._pack_columns
+
+        def counting(table, minors):
+            packed.append(len(minors))
+            return pack(table, minors)
+
+        def refused(*args):
+            raise AssertionError("minor recursion repeated")
+
+        monkeypatch.setattr(levels, "_pack_columns", counting)
+        monkeypatch.setattr(levels, "_minor_indices", refused)
+        path = tmp_path / "level-5.dmlc"
+        LevelCache(5, kernel.compose_level()).save(path)
+        assert packed == [len(kernel.parents)] * 8
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CACHE_SHA256[5]
+
     def test_no_antipodal_pair_listed(self, levels5):
         pairs = [s.bits for s in antipodal_systems(5)]
         assert not np.isin(np.array(pairs, dtype=np.uint32), levels5[5].vectors).any()
@@ -461,15 +483,14 @@ class TestCounts:
     def test_level6_counted_through_classes(self, levels5, monkeypatch):
         calls = []
 
-        def counted(prev, threads=1, progress=None):
-            calls.append((prev.n, threads, progress))
+        def counted(prev, threads=1):
+            calls.append((prev.n, threads))
             return 10**12
 
         monkeypatch.setattr(levels, "count_next_level_via_classes", counted)
-        progress = lambda done, total: None  # noqa: E731
-        reports = count_report(6, levels5, allow_n6=True, threads=2, progress=progress)
+        reports = count_report(6, levels5, allow_n6=True, threads=2)
         assert reports[-1].d == 10**12
-        assert calls == [(5, 2, progress)]
+        assert calls == [(5, 2)]
 
     def test_even_counts_and_split(self, levels5):
         for n in range(1, 6):
@@ -502,14 +523,21 @@ class TestClassCounting:
     def test_count_via_classes_matches_enumeration(self, levels5):
         assert count_next_level_via_classes(levels5[4]) == EXPECTED_D[5]
 
-    def test_threaded_count_reports_progress_in_row_order(self, levels5):
+    def test_threaded_count_reports_progress_in_row_order(self, levels5, caplog):
         reps, _ = twist_permutation_classes(levels5[4])
-        seen: list[tuple[int, int]] = []
-        count = count_next_level_via_classes(
-            levels5[4], threads=2, progress=lambda done, total: seen.append((done, total))
-        )
+        with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
+            count = count_next_level_via_classes(levels5[4], threads=2)
         assert count == EXPECTED_D[5]
-        assert seen == [(k, len(reps)) for k in range(1, len(reps) + 1)]
+        progress = [r.args[1:3] for r in caplog.records if "classes %d/%d" in r.msg]
+        assert progress == [(50, len(reps)), (len(reps), len(reps))]
+
+    def test_progress_logged_every_50_rows_and_on_the_last(self, levels5, caplog):
+        with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
+            assert count_next_level_via_classes(levels5[4], threads=2) == EXPECTED_D[5]
+        progress = [r.getMessage() for r in caplog.records if ": classes " in r.getMessage()]
+        assert len(progress) == 2, progress
+        assert re.fullmatch(r"level 5: classes 50/90 \d+\.\ds eta \d+s", progress[0])
+        assert re.fullmatch(r"level 5: classes 90/90 \d+\.\ds eta 0s", progress[1])
 
     def test_classes_visited_in_one_fixed_shuffled_order(self, levels5, monkeypatch):
         # the rate of the rows done so far stands for the rows left only
@@ -548,10 +576,12 @@ class TestClassCounting:
         with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
             assert count_next_level_via_classes(levels5[4]) == EXPECTED_D[5]
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 3, messages
+        assert len(messages) == 5, messages
         assert re.fullmatch(r"level 4: \d+ twist/relabel classes in \d+\.\d+s", messages[0])
         assert re.fullmatch(r"level 5: compose kernel built in \d+\.\d+s", messages[1])
-        assert re.fullmatch(r"level 5: \d+ class rows in \d+\.\d+s", messages[2])
+        for message, done in zip(messages[2:4], (50, 90)):
+            assert re.fullmatch(rf"level 5: classes {done}/90 \d+\.\ds eta \d+s", message)
+        assert re.fullmatch(r"level 5: \d+ class rows in \d+\.\d+s", messages[4])
 
     def test_row_counts_constant_on_classes(self, levels5):
         # the compatibility count of a first component depends only on its
