@@ -11,8 +11,10 @@ minor-membership criterion: a proper system on five or more elements whose
 single-element deletions and contractions are all improper or
 delta-matroids is itself a delta-matroid unless its feasible family is a
 single antipodal pair.  Below five elements the criterion is necessary but
-not sufficient, so the axiom checker filters the composites that pass it
-(6 239 checks at level 4, where checking every composite took 24 335).
+not sufficient, so the axiom checker filters the composites that pass it.
+Both are invariant under twist and relabelling, so the checker decides one
+twist/relabel orbit of them at a time: 95 checks for the 6 239 composites
+that pass it at level 4, where checking every composite took 24 335.
 
 Levels 1..5 are listed whole, from one packed bit table per minor over all
 parents.  Level 6 is counted one row per first component, and a row is a
@@ -265,7 +267,8 @@ class _ComposeKernel:
     a delta-matroid unless its feasible family is a single antipodal pair
     (``_excluded_pairs``).  Below five elements that test is necessary but
     not sufficient, so compose_level filters its survivors through the
-    axiom checker, and the rows refuse.
+    axiom checker, one call per twist/relabel orbit of them (123 calls over
+    child levels 1..4), and the rows refuse.
     """
 
     def __init__(self, prev: LevelCache):
@@ -381,7 +384,9 @@ class _ComposeKernel:
         gather per minor and row.  Their bit counts size the output, which
         is filled chunk by chunk of unpacked rows.  At child level 6 one
         such table would hold 5 960 x 5 M bits: level 6 is counted row by
-        row.
+        row.  Below five elements the output is a union of twist/relabel
+        orbits, since the minor criterion is symmetric, and the axiom
+        checker decides each orbit by its minimum.
         """
         if self.child_n > MAX_LISTED_LEVEL:
             raise ResourceLimitError(
@@ -413,8 +418,10 @@ class _ComposeKernel:
             vectors[begin:end] |= np.broadcast_to(wide, ok.shape)[ok]
         if self.child_n < _CRITERION_FROM:
             n = self.child_n
-            keep = [check_symmetric_exchange(SetSystem(n, int(v))) is None for v in vectors]
-            vectors = vectors[np.array(keep, dtype=bool)]
+            keep = np.zeros(len(vectors), dtype=bool)
+            for i, members in _orbits(vectors, n):
+                keep[members] = check_symmetric_exchange(SetSystem(n, int(vectors[i]))) is None
+            vectors = vectors[keep]
         return vectors
 
 
@@ -527,32 +534,43 @@ def _symmetries(n: int) -> np.ndarray:
     return (relabel[:, None, :] ^ masks[None, :, None]).reshape(-1, 1 << n)
 
 
-def twist_permutation_classes(cache: LevelCache) -> tuple[np.ndarray, np.ndarray]:
-    """(representatives, class sizes); representatives are orbit minima,
-    ascending.
+def _orbits(vals: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, members) per twist/relabel orbit of ascending systems on n
+    elements, in ascending order of the orbit minima: the index of the
+    minimum and the indices of every member, ascending.
 
-    The sweep visits the level in ascending order.  The first system not
+    The sweep visits the systems in ascending order.  The first one not
     yet seen is the minimum of its orbit, since every other member is
     also unseen and so comes later; its whole orbit is the images under
     every symmetry, and is marked seen.  The next unseen system is found
-    by argmin over a window of the seen flags at a time."""
-    vals = cache.vectors
-    group = _symmetries(cache.n)
+    by argmin over a window of the seen flags at a time.  The images are
+    deduplicated by a sort and an adjacent-difference mask (np.unique
+    would import numpy.ma, which nothing else on the count path needs)."""
+    group = _symmetries(n)
     seen = np.zeros(len(vals), dtype=bool)
-    reps, sizes = [], []
     for start in range(0, len(vals), _SWEEP_WINDOW):
         window = seen[start:start + _SWEEP_WINDOW]
         while not window[k := int(window.argmin())]:
             i = start + k
             bits = np.unpackbits(vals[i:i + 1].view(np.uint8), bitorder="little")
             images = np.packbits(bits[group], axis=1, bitorder="little").view(vals.dtype)
-            orbit = np.unique(images)
+            images = np.sort(images.ravel())
+            orbit = images[np.append(True, images[1:] != images[:-1])]
             j = np.searchsorted(vals, orbit)
             if np.any(vals[np.minimum(j, len(vals) - 1)] != orbit):
                 raise CacheInvariantError("cache not closed under twist/relabel")
             seen[j] = True
-            reps.append(vals[i])
-            sizes.append(len(orbit))
+            yield i, j
+
+
+def twist_permutation_classes(cache: LevelCache) -> tuple[np.ndarray, np.ndarray]:
+    """(representatives, class sizes); representatives are orbit minima,
+    ascending (see _orbits)."""
+    vals = cache.vectors
+    reps, sizes = [], []
+    for i, members in _orbits(vals, cache.n):
+        reps.append(vals[i])
+        sizes.append(len(members))
     return np.array(reps, dtype=vals.dtype), np.array(sizes, dtype=np.int64)
 
 

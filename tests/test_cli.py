@@ -7,6 +7,8 @@ import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ from deltamatroid.setsystem import (
 )
 from deltamatroid.levels import cache_path
 from tests.conftest import RECORD_TAMPERS, tamper_record
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -86,6 +90,25 @@ class TestCount:
         assert by_n[4]["d"] == 5959
         assert by_n[4]["e"] == 294
         assert abs(by_n[4]["gamma"] - 0.649) <= 5e-4
+
+    def test_count_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma, whose import shows in a cold count's
+        # peak RSS; nothing on the count path needs it
+        argv = ["--cache-dir", str(tmp_path / "c"), "count", "--max-n", "5"]
+        code = (
+            "import sys\n"
+            "from deltamatroid import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_level6_needs_flag(self, capsys):
         assert main(["count", "--max-n", "6"]) == 3

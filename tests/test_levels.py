@@ -128,6 +128,59 @@ class TestLevelFive:
         assert not np.isin(np.array(pairs, dtype=np.uint32), levels5[5].vectors).any()
 
 
+def composite_candidates(prev: LevelCache) -> np.ndarray:
+    """The composites of the next level whose minors are all listed, as
+    compose_level lists them before the axiom checker: its output with a
+    checker that accepts everything."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(levels, "check_symmetric_exchange", lambda system: None)
+        return _ComposeKernel(prev).compose_level()
+
+
+class TestOrbitDecidedLevels:
+    """Below five elements compose_level checks one candidate per
+    twist/relabel orbit and gives its verdict to the whole orbit."""
+
+    def test_one_checker_call_per_orbit(self, levels5, monkeypatch):
+        calls: dict[int, list[bool]] = {}
+
+        def counting(system):
+            witness = check_symmetric_exchange(system)
+            calls.setdefault(system.n, []).append(witness is None)
+            return witness
+
+        monkeypatch.setattr(levels, "check_symmetric_exchange", counting)
+        for n in range(1, 5):
+            assert np.array_equal(enumerate_level(levels5[n - 1]).vectors, levels5[n].vectors)
+        # one call per composite would be 3 + 15 + 255 + 6 239 = 6 512
+        assert {n: len(v) for n, v in calls.items()} == {1: 2, 2: 5, 3: 21, 4: 95}
+        assert sum(calls[4]) == 90
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_one_check_per_composite(self, levels5, n):
+        candidates = composite_candidates(levels5[n - 1])
+        keep = [check_symmetric_exchange(SetSystem(n, int(v))) is None for v in candidates]
+        expected = candidates[np.array(keep, dtype=bool)]
+        assert np.array_equal(_ComposeKernel(levels5[n - 1]).compose_level(), expected)
+        if n <= 3:
+            oracle = [
+                v for v in candidates.tolist()
+                if oracle_is_delta_matroid(n, [m for m in range(1 << n) if (v >> m) & 1])
+            ]
+            assert expected.tolist() == oracle
+
+    @pytest.mark.parametrize("n, candidates", [(3, False), (4, False), (4, True)])
+    def test_orbits_partition(self, levels5, n, candidates):
+        vals = composite_candidates(levels5[n - 1]) if candidates else levels5[n].vectors
+        firsts, covered = [], np.zeros(len(vals), dtype=np.int64)
+        for i, members in levels._orbits(vals, n):
+            assert members[0] == i and np.all(members[1:] > members[:-1])
+            firsts.append(i)
+            covered[members] += 1
+        assert np.all(covered == 1)
+        assert firsts == sorted(firsts)
+
+
 class TestFastCheck:
     """The compose kernel's rows at child level 5, against the axiom checker."""
 
