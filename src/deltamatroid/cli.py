@@ -74,13 +74,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         witness = setsystem.check_symmetric_exchange(system)
         verdict = witness is None
-        even = setsystem.is_even(system)
-        parity = "uniform-parity sizes" if even else "mixed-parity sizes"
         if verdict:
             lines.append("verdict: delta-matroid")
-            doc["delta_matroid"] = True
-            lines.append(f"parity: {parity}")
-            doc["even"] = even
         else:
             x = sorted(setsystem.elements_of(witness.x))
             y = sorted(setsystem.elements_of(witness.y))
@@ -88,10 +83,10 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "verdict: not a delta-matroid "
                 f"(witness: X={x}, Y={y}, e={witness.e} admits no exchange)"
             )
-            lines.append(f"parity: {parity}")
-            doc["delta_matroid"] = False
-            doc["even"] = even
             doc["witness"] = {"x": witness.x, "y": witness.y, "e": witness.e}
+        even = setsystem.is_even(system)
+        lines.append(f"parity: {'uniform' if even else 'mixed'}-parity sizes")
+        doc.update({"delta_matroid": verdict, "even": even})
     _report(args, doc, lines)
     return EXIT_PASS if verdict else EXIT_VIOLATION
 
@@ -142,7 +137,7 @@ def cmd_count_even(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     if args.kind == "gs-stable":
-        masks = constructions.graham_sloane_stable_set(args.n, args.r).sorted_masks()
+        masks = list(constructions.graham_sloane_stable_set(args.n, args.r).feasible_masks())
         doc = {"n": args.n, "r": args.r, "masks": masks}
         _report(args, doc, [str(m) for m in masks])
         return EXIT_PASS
@@ -223,15 +218,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "bell_bound": report.bell_bound,
         "log_e_n_bound": report.log_e_n_bound,
     }
-    lines = [
-        f"n: {report.n}",
-        f"alpha: {report.alpha}",
-        f"sigma: {report.sigma!r}",
-        f"sigma_prime: {report.sigma_prime}",
-        f"bell_bound: {report.bell_bound}",
-        f"log_e_n_bound: {report.log_e_n_bound!r}",
-    ]
-    _report(args, doc, lines)
+    _report(args, doc, [f"{k}: {v}" for k, v in doc.items()])
     return EXIT_PASS
 
 

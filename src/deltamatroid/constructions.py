@@ -3,31 +3,28 @@
 Three routes produce delta-matroids wholesale:
 
 * complements of induced subgraphs of the hypercube with maximum degree at
-  most one (stable sets being the degree-zero case);
-* an arbitrary family of even-size sets joined with every odd-size set;
+  most one (stable sets being the degree-zero case), one of them sampled
+  on a single edge cut;
 * unions of sparse paving matroid basis families, one per even rank, which
   give even delta-matroids.
 
 Sparse paving matroids are in bijection with stable sets in the Johnson
 graph J(n, r); a residue-class construction supplies stable sets of size at
-least C(n, r)/n.
+least C(n, r)/n.  Every family of subsets here, whether a vertex set of the
+hypercube, a circuit-hyperplane family or a basis family, is a
+``SetSystem``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .setsystem import (
-    ImproperSystemError,
-    Matroid,
-    SetSystem,
-    mask_of,
-)
+from .setsystem import ImproperSystemError, SetSystem, mask_of, rank_indicator
 
 
 class ConstructionError(ValueError):
@@ -46,46 +43,22 @@ class LayerError(ConstructionError):
     """A stacked construction is missing a layer or has an invalid one."""
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """A set of hypercube vertices, each a subset mask of {1..n}."""
-
-    n: int
-    members: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ConstructionError("ground-set size must be nonnegative")
-        limit = 1 << self.n
-        for m in self.members:
-            if not 0 <= m < limit:
-                raise ConstructionError(f"vertex mask {m} out of range for n={self.n}")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
-
-    def sorted_masks(self) -> list[int]:
-        return sorted(self.members)
-
-
 def hypercube_neighbors(mask: int, n: int) -> Iterator[int]:
     for i in range(n):
         yield mask ^ (1 << i)
 
 
-def qn_degree(v: VertexSet) -> int:
-    """Maximum degree of the subgraph of the hypercube induced by v."""
-    best = 0
-    for m in v.members:
-        deg = sum(1 for w in hypercube_neighbors(m, v.n) if w in v.members)
-        best = max(best, deg)
-    return best
+def qn_degree(v: SetSystem) -> int:
+    """Maximum degree of the subgraph of the hypercube induced by the
+    members of v."""
+    members = set(v.feasible_masks())
+    return max(
+        (sum(w in members for w in hypercube_neighbors(m, v.n)) for m in members),
+        default=0,
+    )
 
 
-def complement_delta_matroid(v: VertexSet) -> SetSystem:
+def complement_delta_matroid(v: SetSystem) -> SetSystem:
     """Delta-matroid whose feasible sets are the hypercube vertices NOT in v.
 
     Requires the subgraph induced by v to have maximum degree at most one
@@ -94,9 +67,7 @@ def complement_delta_matroid(v: VertexSet) -> SetSystem:
     degree = qn_degree(v)
     if degree > 1:
         raise DegreeViolationError(f"induced degree {degree} exceeds 1")
-    bits = (1 << (1 << v.n)) - 1
-    for m in v.members:
-        bits &= ~(1 << m)
+    bits = v.bits ^ ((1 << (1 << v.n)) - 1)
     if bits == 0:
         raise ImproperSystemError("complement of the full vertex set is empty")
     return SetSystem(v.n, bits)
@@ -104,34 +75,28 @@ def complement_delta_matroid(v: VertexSet) -> SetSystem:
 
 # --- randomized cut construction ---------------------------------------------
 
-def sample_cut_vertices(n: int, cut: int, seed: int) -> VertexSet:
+def sample_cut_vertices(n: int, cut: int, seed: int) -> SetSystem:
     """Random vertex set inducing a subgraph of maximum degree <= 1.
 
     The edge cut of coordinate ``cut`` splits the hypercube into two
-    halves.  Even-size vertices with the cut coordinate absent and odd-size
-    vertices with it present are each kept independently with probability
-    one half, scanned in ascending mask order.  Any edge inside the sample
-    joins two vertices of different size parity differing in exactly the
-    cut coordinate, so degrees stay at most one.
+    halves.  Even-size vertices with the cut coordinate absent, then
+    odd-size vertices with it present, each side in ascending mask order,
+    are each kept independently with probability one half.  Any edge
+    inside the sample joins two vertices of different size parity
+    differing in exactly the cut coordinate, so degrees stay at most one.
     """
     if n < 2:
         raise ConstructionError("cut construction requires n >= 2")
     if not 1 <= cut <= n:
         raise ConstructionError(f"cut element {cut} out of range 1..{n}")
     rng = random.Random(seed)
-    cut_bit = 1 << (cut - 1)
-    chosen = []
-    for m in range(1 << n):
-        parity = m.bit_count() & 1
-        if parity == 0 and not (m & cut_bit):
-            if rng.getrandbits(1):
-                chosen.append(m)
-    for m in range(1 << n):
-        parity = m.bit_count() & 1
-        if parity == 1 and (m & cut_bit):
-            if rng.getrandbits(1):
-                chosen.append(m)
-    return VertexSet(n, frozenset(chosen))
+    p = cut - 1
+    return SetSystem.from_masks(n, (
+        m
+        for side in (0, 1)
+        for m in range(1 << n)
+        if (m.bit_count() & 1) == side == (m >> p & 1) and rng.getrandbits(1)
+    ))
 
 
 def sample_cut_construction(n: int, cut: int, seed: int) -> SetSystem:
@@ -156,7 +121,7 @@ def cut_count_lower_bound(n: int) -> int:
 
 # --- Johnson graph stable sets and sparse paving matroids ---------------------
 
-def graham_sloane_stable_set(n: int, r: int) -> VertexSet:
+def graham_sloane_stable_set(n: int, r: int) -> SetSystem:
     """A stable set in the Johnson graph J(n, r) of size >= C(n, r)/n.
 
     The r-subsets of {1..n} are split by the residue of their element sum
@@ -169,7 +134,7 @@ def graham_sloane_stable_set(n: int, r: int) -> VertexSet:
     for combo in combinations(range(1, n + 1), r):
         classes[sum(combo) % n].append(mask_of(combo))
     best = max(range(n), key=lambda res: (len(classes[res]), -res))
-    return VertexSet(n, frozenset(classes[best]))
+    return SetSystem.from_masks(n, classes[best])
 
 
 @dataclass(frozen=True)
@@ -182,7 +147,7 @@ class SparsePavingSpec:
 
     n: int
     r: int
-    circuit_hyperplanes: VertexSet
+    circuit_hyperplanes: SetSystem
 
     def __post_init__(self) -> None:
         if not 0 <= self.r <= self.n:
@@ -190,12 +155,13 @@ class SparsePavingSpec:
         ch = self.circuit_hyperplanes
         if ch.n != self.n:
             raise ConstructionError("circuit-hyperplane set over wrong ground set")
-        for m in ch.members:
-            if m.bit_count() != self.r:
-                raise ConstructionError(f"circuit-hyperplane {m} is not an {self.r}-set")
+        stray = ch.bits & ~rank_indicator(self.n, self.r)
+        if stray:
+            m = (stray & -stray).bit_length() - 1
+            raise ConstructionError(f"circuit-hyperplane {m} is not an {self.r}-set")
 
     def validate_stability(self) -> None:
-        masks = self.circuit_hyperplanes.sorted_masks()
+        masks = list(self.circuit_hyperplanes.feasible_masks())
         for i, x in enumerate(masks):
             for y in masks[i + 1:]:
                 if (x & y).bit_count() == self.r - 1:
@@ -204,20 +170,16 @@ class SparsePavingSpec:
                     )
 
 
-def sparse_paving_matroid(spec: SparsePavingSpec) -> Matroid:
-    """Matroid whose bases are the r-sets outside the circuit-hyperplanes."""
+def sparse_paving_matroid(spec: SparsePavingSpec) -> SetSystem:
+    """The bases of the sparse paving matroid: the r-sets outside the
+    circuit-hyperplanes."""
     spec.validate_stability()
-    bits = 0
-    forbidden = spec.circuit_hyperplanes.members
-    for combo in combinations(range(spec.n), spec.r):
-        m = sum(1 << i for i in combo)
-        if m not in forbidden:
-            bits |= 1 << m
+    bits = rank_indicator(spec.n, spec.r) ^ spec.circuit_hyperplanes.bits
     if bits == 0:
         raise LayerError(
             "every r-set is a circuit-hyperplane; the basis family is empty"
         )
-    return Matroid(SetSystem(spec.n, bits), spec.r)
+    return SetSystem(spec.n, bits)
 
 
 def stacked_even_delta_matroid(
@@ -239,29 +201,27 @@ def stacked_even_delta_matroid(
             raise LayerError(
                 f"layer for rank {rank} has n={spec.n}, r={spec.r}"
             )
-        bits |= sparse_paving_matroid(spec).system.bits
+        bits |= sparse_paving_matroid(spec).bits
     extra = set(layers) - set(required)
     if extra:
         raise LayerError(f"unexpected layer ranks {sorted(extra)}")
     return SetSystem(n, bits)
 
 
-def random_residue_stable_subset(n: int, r: int, rng: random.Random) -> VertexSet:
+def random_residue_stable_subset(n: int, r: int, rng: random.Random) -> SetSystem:
     """Random subset of a random residue class of r-sets (stable in J(n, r)).
 
     Ranks 0 and n have a single vertex and always give the empty set so the
     layer keeps at least one basis.
     """
     if r == 0 or r == n:
-        return VertexSet(n)
+        return SetSystem(n, 0)
     residue = rng.randrange(n)
-    members = [
+    return SetSystem.from_masks(n, (
         mask_of(combo)
         for combo in combinations(range(1, n + 1), r)
-        if sum(combo) % n == residue
-    ]
-    chosen = frozenset(m for m in members if rng.getrandbits(1))
-    return VertexSet(n, chosen)
+        if sum(combo) % n == residue and rng.getrandbits(1)
+    ))
 
 
 def random_stacked_layers(n: int, seed: int) -> dict[int, SparsePavingSpec]:
@@ -274,7 +234,7 @@ def random_stacked_layers(n: int, seed: int) -> dict[int, SparsePavingSpec]:
     return layers
 
 
-def random_stable_set(n: int, seed: int) -> VertexSet:
+def random_stable_set(n: int, seed: int) -> SetSystem:
     """Seeded random stable set in the hypercube: a shuffle of the vertices,
     each kept with probability one half unless a neighbour was kept."""
     rng = random.Random(seed)
@@ -286,7 +246,7 @@ def random_stable_set(n: int, seed: int) -> VertexSet:
             w in chosen for w in hypercube_neighbors(m, n)
         ):
             chosen.add(m)
-    return VertexSet(n, frozenset(chosen))
+    return SetSystem.from_masks(n, chosen)
 
 
 def even_lower_bound(n: int) -> float:

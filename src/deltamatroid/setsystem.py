@@ -117,21 +117,6 @@ class ExchangeWitness:
     e: int
 
 
-@dataclass(frozen=True)
-class Matroid:
-    """Equicardinal feasible sets satisfying basis exchange."""
-
-    system: SetSystem
-    rank: int
-
-    @property
-    def n(self) -> int:
-        return self.system.n
-
-    def bases(self) -> Iterator[int]:
-        return self.system.feasible_masks()
-
-
 def _merge_halves(cells: list[int], width: int) -> tuple[int, int]:
     """Pair up consecutive transforms of ``width`` cells each, as the 0 and
     1 halves along their next element, until one is left; returns it and
@@ -245,6 +230,19 @@ def even_parity_indicator(n: int) -> int:
         odd = ind ^ ((1 << width) - 1)
         ind |= odd << width
     return ind
+
+
+@functools.cache
+def rank_indicator(n: int, r: int) -> int:
+    """Integer whose bit m is set iff mask m has exactly r elements: the
+    masks without element n hold the r-sets on n - 1 elements, and those
+    with it the (r - 1)-sets."""
+    if not 0 <= r <= n:
+        return 0
+    if n == 0:
+        return 1
+    half = 1 << (n - 1)
+    return rank_indicator(n - 1, r) | rank_indicator(n - 1, r - 1) << half
 
 
 def is_even(s: SetSystem) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltamatroid.constructions import ConstructionError, VertexSet, cut_count_lower_bound_exact
+from deltamatroid.constructions import ConstructionError, cut_count_lower_bound_exact
 from deltamatroid.levels import (
     LevelCache,
     _ComposeKernel,
@@ -34,7 +34,6 @@ from deltamatroid.encoding import (
 )
 from deltamatroid.setsystem import (
     ImproperSystemError,
-    Matroid,
     MinorKind,
     SetSystem,
     check_symmetric_exchange,
@@ -157,11 +156,6 @@ def dual(s: SetSystem) -> SetSystem:
     return twist(s, (1 << s.n) - 1)
 
 
-def matroid_dual(m: Matroid) -> Matroid:
-    full = (1 << m.n) - 1
-    return Matroid(twist(m.system, full), m.n - m.rank)
-
-
 def _squeeze(mask: int, p: int) -> int:
     """Drop bit position p from a mask, shifting higher bits down."""
     return (mask & ((1 << p) - 1)) | ((mask >> (p + 1)) << p)
@@ -209,7 +203,7 @@ def is_matroid(b: SetSystem) -> bool:
 
 # --- constructions and covers only the tests use ------------------------------
 
-def evens_plus_all_odds(n: int, a: VertexSet) -> SetSystem:
+def evens_plus_all_odds(n: int, a: SetSystem) -> SetSystem:
     """Delta-matroid with feasible family a ∪ {every odd-size subset}.
 
     Every choice of even-size family works, and distinct choices give
@@ -217,13 +211,11 @@ def evens_plus_all_odds(n: int, a: VertexSet) -> SetSystem:
     """
     if a.n != n:
         raise ConstructionError(f"vertex set is over n={a.n}, expected {n}")
-    bits = 0
-    for m in a.members:
+    for m in a.feasible_masks():
         if m.bit_count() & 1:
             raise ConstructionError(f"member {m} has odd size")
-        bits |= 1 << m
     odd = even_parity_indicator(n) ^ ((1 << (1 << n)) - 1)
-    bits |= odd
+    bits = a.bits | odd
     if bits == 0:
         raise ImproperSystemError("empty family (n=0 with no sets chosen)")
     return SetSystem(n, bits)

@@ -14,10 +14,9 @@ from itertools import combinations
 
 import pytest
 
-from deltamatroid.setsystem import is_delta_matroid, is_even, twist
+from deltamatroid.setsystem import SetSystem, is_delta_matroid, is_even, twist
 from deltamatroid.levels import count_even, count_report
 from deltamatroid.constructions import (
-    VertexSet,
     complement_delta_matroid,
     cut_count_lower_bound,
     random_stable_set,
@@ -150,7 +149,7 @@ def test_ac05_construction_soundness():
         if any((m ^ (1 << i)) in members for m in members for i in range(3)):
             continue
         total_q3 += 1
-        d = complement_delta_matroid(VertexSet(3, members))
+        d = complement_delta_matroid(SetSystem.from_masks(3, members))
         if not is_delta_matroid(d):
             failures += 1
     # (a') one thousand random stable sets of the 5-cube

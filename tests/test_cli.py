@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -485,6 +486,80 @@ class TestLimits:
         assert main(argv) == 2
         assert "--threads must be in 1.." in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
+
+
+def _construct_argvs():
+    """Every construct kind over a grid of n, seed and cut, cut errors and
+    out-of-range ranks included, gs-stable in both formats."""
+    for n in range(1, 11):
+        for r in range(-1, n + 2):
+            for fmt in ("text", "json"):
+                yield ["--format", fmt, "construct", "gs-stable", "--n", str(n), "--r", str(r)]
+        for seed in range(3):
+            for kind in ("stable-complement", "stacked-even"):
+                yield ["construct", kind, "--n", str(n), "--seed", str(seed)]
+            for cut in range(n + 2):
+                yield ["construct", "cut-sample", "--n", str(n), "--cut", str(cut), "--seed", str(seed)]
+    for kind in ("stable-complement", "stacked-even", "cut-sample"):
+        yield ["construct", kind, "--n", "12", "--cut", "5", "--seed", "7"]
+
+
+class TestPinnedOutput:
+    """Outputs byte for byte as the package has printed them, so that a
+    rewrite of a construction or a report cannot change them silently."""
+
+    def test_construct_outputs_pinned(self, capsys):
+        digest = hashlib.sha256()
+        count = 0
+        for argv in _construct_argvs():
+            code = main(argv)
+            captured = capsys.readouterr()
+            digest.update(f"{argv} {code}\n{captured.out}\n{captured.err}\n".encode())
+            count += 1
+        assert count == 458
+        assert digest.hexdigest() == (
+            "9030d8e34dc18765a427365232868d8aa6b0081381045c1bd5f72ae1e756a967"
+        )
+
+    def test_bound_text_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for n in range(3, 17):
+            assert main(["bound", "--n", str(n)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == (
+            "77028810dbdf3b840d9185e914f8a033dd6c769def221d66203f1bba59692481"
+        )
+        assert main(["bound", "--n", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "n: 3\n"
+            "alpha: 1/4\n"
+            "sigma: 0.34657359027997264\n"
+            "sigma_prime: 3/4\n"
+            "bell_bound: 15\n"
+            "log_e_n_bound: 33.49149345455791\n"
+        )
+
+    @pytest.mark.parametrize("system, code, text", [
+        (SetSystem.from_sets(3, [[], [1], [2]]), 0,
+         "system: n=3, feasible sets: 3\n"
+         "verdict: delta-matroid\n"
+         "parity: mixed-parity sizes\n"),
+        (SetSystem.from_sets(2, [[], [1, 2]]), 0,
+         "system: n=2, feasible sets: 2\n"
+         "verdict: delta-matroid\n"
+         "parity: uniform-parity sizes\n"),
+        (SetSystem.from_sets(3, [[], [1, 2, 3]]), 1,
+         "system: n=3, feasible sets: 2\n"
+         "verdict: not a delta-matroid "
+         "(witness: X=[], Y=[1, 2, 3], e=1 admits no exchange)\n"
+         "parity: mixed-parity sizes\n"),
+        (SetSystem(3, 0), 1,
+         "system: n=3, feasible sets: 0\n"
+         "verdict: not a delta-matroid (no feasible sets)\n"),
+    ], ids=["accepted-mixed", "accepted-uniform", "violating", "improper"])
+    def test_check_text_pinned(self, system, code, text, tmp_path, capsys):
+        assert main(["check", write_system(tmp_path / "s.json", system)]) == code
+        assert capsys.readouterr().out == text
 
 
 class TestInstalledScript:

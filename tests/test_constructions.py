@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +21,6 @@ from deltamatroid.constructions import (
     LayerError,
     SparsePavingSpec,
     StabilityViolationError,
-    VertexSet,
     complement_delta_matroid,
     cut_count_lower_bound,
     cut_count_lower_bound_exact,
@@ -41,7 +41,6 @@ from tests.conftest import (
     dual,
     evens_plus_all_odds,
     is_matroid,
-    matroid_dual,
     oracle_is_delta_matroid,
 )
 
@@ -55,17 +54,17 @@ class TestCubeBasics:
         assert sorted(hypercube_neighbors(0b101, 3)) == [0b001, 0b100, 0b111]
 
     def test_max_induced_degree(self):
-        assert qn_degree(VertexSet(2, frozenset({0b00, 0b01, 0b11}))) == 2
-        assert qn_degree(VertexSet(2, frozenset({0b00, 0b11}))) == 0
-        assert qn_degree(VertexSet(2, frozenset({0b00, 0b01}))) == 1
-        assert qn_degree(VertexSet(3)) == 0
+        assert qn_degree(SetSystem.from_masks(2, [0b00, 0b01, 0b11])) == 2
+        assert qn_degree(SetSystem.from_masks(2, [0b00, 0b11])) == 0
+        assert qn_degree(SetSystem.from_masks(2, [0b00, 0b01])) == 1
+        assert qn_degree(SetSystem(3, 0)) == 0
 
     def test_degree_random_cross_check(self):
         rng = random.Random(5)
         for _ in range(50):
             n = rng.randint(1, 6)
             members = frozenset(m for m in range(1 << n) if rng.random() < 0.4)
-            v = VertexSet(n, members)
+            v = SetSystem.from_masks(n, members)
             expected = max(
                 (
                     sum(1 for u in hypercube_neighbors(m, n) if u in members)
@@ -75,41 +74,33 @@ class TestCubeBasics:
             )
             assert qn_degree(v) == expected
 
-    def test_vertex_set_validation(self):
-        with pytest.raises(ConstructionError):
-            VertexSet(2, frozenset({4}))
-        with pytest.raises(ConstructionError):
-            VertexSet(-1, frozenset())
-        assert len(VertexSet(3, frozenset({1, 5}))) == 2
-        assert 5 in VertexSet(3, frozenset({1, 5}))
-
 
 class TestComplement:
     def test_two_element_example(self):
-        v = VertexSet(2, frozenset({0b00, 0b11}))
+        v = SetSystem.from_masks(2, [0b00, 0b11])
         d = complement_delta_matroid(v)
         assert sorted(d.feasible_masks()) == [0b01, 0b10]
         assert is_delta_matroid(d)
 
     def test_empty_set_gives_power_set(self):
-        d = complement_delta_matroid(VertexSet(3))
+        d = complement_delta_matroid(SetSystem(3, 0))
         assert d.num_feasible == 8
         assert is_delta_matroid(d)
 
     def test_degree_one_mode_accepts_a_matching(self):
-        v = VertexSet(2, frozenset({0b00, 0b01}))
+        v = SetSystem.from_masks(2, [0b00, 0b01])
         d = complement_delta_matroid(v)
         assert sorted(d.feasible_masks()) == [0b10, 0b11]
         assert is_delta_matroid(d)
 
     def test_degree_one_mode_rejects_a_path(self):
-        v = VertexSet(2, frozenset({0b00, 0b01, 0b11}))
+        v = SetSystem.from_masks(2, [0b00, 0b01, 0b11])
         with pytest.raises(DegreeViolationError):
             complement_delta_matroid(v)
 
     def test_full_cover_is_improper(self):
         # only Q_0 and Q_1 can be fully covered at induced degree <= 1
-        for v in (VertexSet(0, frozenset({0})), VertexSet(1, frozenset({0, 1}))):
+        for v in (SetSystem.from_masks(0, [0]), SetSystem.from_masks(1, [0, 1])):
             with pytest.raises(ImproperSystemError):
                 complement_delta_matroid(v)
 
@@ -131,8 +122,7 @@ class TestComplement:
                     break
                 marked |= along
             else:
-                members = frozenset(m for m in range(1 << n) if bits >> m & 1)
-                d = complement_delta_matroid(VertexSet(n, members))
+                d = complement_delta_matroid(SetSystem(n, bits))
                 assert oracle_is_delta_matroid(n, d.feasible_masks())
                 count += 1
         assert count == expected
@@ -145,7 +135,7 @@ class TestComplement:
                 u in members for m in members for u in hypercube_neighbors(m, 3)
             ):
                 continue
-            d = complement_delta_matroid(VertexSet(3, members))
+            d = complement_delta_matroid(SetSystem(3, bits))
             assert oracle_is_delta_matroid(3, list(d.feasible_masks()))
             count += 1
         assert count > 1
@@ -153,28 +143,28 @@ class TestComplement:
 
 class TestEvensPlusOdds:
     def test_examples(self):
-        d = evens_plus_all_odds(2, VertexSet(2))
+        d = evens_plus_all_odds(2, SetSystem(2, 0))
         assert sorted(d.feasible_masks()) == [0b01, 0b10]
-        d = evens_plus_all_odds(2, VertexSet(2, frozenset({0b00})))
+        d = evens_plus_all_odds(2, SetSystem.from_masks(2, [0b00]))
         assert sorted(d.feasible_masks()) == [0b00, 0b01, 0b10]
-        d = evens_plus_all_odds(2, VertexSet(2, frozenset({0b00, 0b11})))
+        d = evens_plus_all_odds(2, SetSystem.from_masks(2, [0b00, 0b11]))
         assert d.num_feasible == 4
 
     def test_rejects_odd_masks_in_a(self):
         with pytest.raises(ConstructionError):
-            evens_plus_all_odds(2, VertexSet(2, frozenset({0b01})))
+            evens_plus_all_odds(2, SetSystem.from_masks(2, [0b01]))
 
     def test_rejects_mismatched_ground_set(self):
         with pytest.raises(ConstructionError):
-            evens_plus_all_odds(3, VertexSet(2))
+            evens_plus_all_odds(3, SetSystem(2, 0))
 
     def test_distinct_and_valid(self):
         n = 3
         evens = [m for m in range(1 << n) if popcount(m) % 2 == 0]
         seen = set()
         for bits in range(1 << len(evens)):
-            a = VertexSet(
-                n, frozenset(evens[i] for i in range(len(evens)) if bits >> i & 1)
+            a = SetSystem.from_masks(
+                n, (evens[i] for i in range(len(evens)) if bits >> i & 1)
             )
             d = evens_plus_all_odds(n, a)
             assert d.bits not in seen
@@ -197,15 +187,15 @@ class TestCutSamples:
         n, cut = 4, 2
         for seed in range(20):
             v = sample_cut_vertices(n, cut, seed)
-            for m in v.members:
+            for m in v.feasible_masks():
                 for u in hypercube_neighbors(m, n):
-                    if u in v.members:
+                    if v.has_mask(u):
                         assert (m ^ u) == 1 << (cut - 1)
 
     def test_parity_sides_match_cut_bit(self):
         for seed in range(20):
             v = sample_cut_vertices(5, 2, seed)
-            for m in v.members:
+            for m in v.feasible_masks():
                 if popcount(m) % 2 == 0:
                     assert not m & 0b10
                 else:
@@ -221,9 +211,9 @@ class TestCutSamples:
                 v = sample_cut_vertices(n, cut, seed)
                 edges_by_cut[cut] = frozenset(
                     frozenset((m, u))
-                    for m in v.members
+                    for m in v.feasible_masks()
                     for u in hypercube_neighbors(m, n)
-                    if u in v.members
+                    if v.has_mask(u)
                 )
             cuts = list(edges_by_cut)
             for i, a in enumerate(cuts):
@@ -272,16 +262,16 @@ class TestCutBound:
 
 class TestGrahamSloane:
     def test_examples(self):
-        assert graham_sloane_stable_set(3, 1).members in (
-            frozenset({0b001}),
-            frozenset({0b010}),
-            frozenset({0b100}),
+        assert list(graham_sloane_stable_set(3, 1).feasible_masks()) in (
+            [0b001],
+            [0b010],
+            [0b100],
         )
-        assert len(graham_sloane_stable_set(4, 2)) == 2
+        assert graham_sloane_stable_set(4, 2).num_feasible == 2
 
     def test_single_residue_class(self):
         s = graham_sloane_stable_set(4, 2)
-        sums = {sum(i + 1 for i in range(4) if m >> i & 1) % 4 for m in s.members}
+        sums = {sum(i + 1 for i in range(4) if m >> i & 1) % 4 for m in s.feasible_masks()}
         assert len(sums) == 1
 
     def test_rank_bounds(self):
@@ -294,8 +284,8 @@ class TestGrahamSloane:
         for n in range(2, 13):
             for r in range(1, n):
                 s = graham_sloane_stable_set(n, r)
-                assert len(s) * n >= math.comb(n, r)
-                masks = s.sorted_masks()
+                assert s.num_feasible * n >= math.comb(n, r)
+                masks = list(s.feasible_masks())
                 for i, a in enumerate(masks):
                     assert popcount(a) == r
                     for b in masks[i + 1 :]:
@@ -307,34 +297,34 @@ class TestGrahamSloane:
             n = rng.randint(3, 10)
             r = rng.randint(1, n - 1)
             s = random_residue_stable_subset(n, r, rng)
-            masks = s.sorted_masks()
+            masks = list(s.feasible_masks())
             for i, a in enumerate(masks):
                 for b in masks[i + 1 :]:
                     assert popcount(a & b) != r - 1
 
     def test_random_subset_extreme_ranks_empty(self):
         rng = random.Random(0)
-        assert len(random_residue_stable_subset(4, 0, rng)) == 0
-        assert len(random_residue_stable_subset(4, 4, rng)) == 0
+        assert random_residue_stable_subset(4, 0, rng).num_feasible == 0
+        assert random_residue_stable_subset(4, 4, rng).num_feasible == 0
 
 
 class TestSparsePaving:
     def test_uniform_from_empty_spec(self):
-        m = sparse_paving_matroid(SparsePavingSpec(4, 2, VertexSet(4)))
-        assert sorted(m.bases()) == [
+        m = sparse_paving_matroid(SparsePavingSpec(4, 2, SetSystem(4, 0)))
+        assert sorted(m.feasible_masks()) == [
             0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100,
         ]
-        assert m.rank == 2
+        assert {b.bit_count() for b in m.feasible_masks()} == {2}
 
     def test_example_with_hyperplanes(self):
-        spec = SparsePavingSpec(4, 2, VertexSet(4, frozenset({0b0011, 0b1100})))
+        spec = SparsePavingSpec(4, 2, SetSystem.from_masks(4, [0b0011, 0b1100]))
         m = sparse_paving_matroid(spec)
-        assert sorted(m.bases()) == [0b0101, 0b0110, 0b1001, 0b1010]
-        assert is_matroid(m.system)
-        assert is_delta_matroid(m.system)
+        assert sorted(m.feasible_masks()) == [0b0101, 0b0110, 0b1001, 0b1010]
+        assert is_matroid(m)
+        assert is_delta_matroid(m)
 
     def test_instability_rejected(self):
-        spec = SparsePavingSpec(4, 2, VertexSet(4, frozenset({0b0011, 0b0101})))
+        spec = SparsePavingSpec(4, 2, SetSystem.from_masks(4, [0b0011, 0b0101]))
         with pytest.raises(StabilityViolationError):
             spec.validate_stability()
         with pytest.raises(StabilityViolationError):
@@ -342,26 +332,47 @@ class TestSparsePaving:
 
     def test_wrong_rank_rejected(self):
         with pytest.raises(ConstructionError):
-            SparsePavingSpec(4, 2, VertexSet(4, frozenset({0b0111})))
+            SparsePavingSpec(4, 2, SetSystem.from_masks(4, [0b0111]))
         with pytest.raises(ConstructionError):
-            SparsePavingSpec(4, 5, VertexSet(4))
+            SparsePavingSpec(4, 5, SetSystem(4, 0))
+
+    def test_stray_mask_named(self):
+        with pytest.raises(ConstructionError, match="circuit-hyperplane 7 is not a"):
+            SparsePavingSpec(4, 2, SetSystem.from_masks(4, [0b0011, 0b0111, 0b1111]))
+        with pytest.raises(ConstructionError, match="wrong ground set"):
+            SparsePavingSpec(4, 2, SetSystem(3, 0))
+
+    def test_bases_are_the_other_rsets(self):
+        # the bases are the r-sets that are not circuit-hyperplanes
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            r = rng.randint(0, n)
+            ch = random_residue_stable_subset(n, r, rng)
+            expected = [
+                mask
+                for mask in sorted(sum(1 << i for i in c) for c in combinations(range(n), r))
+                if not ch.has_mask(mask)
+            ]
+            if not expected:
+                continue
+            assert list(sparse_paving_matroid(SparsePavingSpec(n, r, ch)).feasible_masks()) == expected
 
     def test_every_rset_forbidden_rejected(self):
         # the rank-0 Johnson graph has one vertex, so forbidding it is stable
         # yet leaves no basis
-        spec = SparsePavingSpec(2, 0, VertexSet(2, frozenset({0})))
+        spec = SparsePavingSpec(2, 0, SetSystem.from_masks(2, [0]))
         with pytest.raises(LayerError):
             sparse_paving_matroid(spec)
 
     def test_dual_is_sparse_paving(self):
-        spec = SparsePavingSpec(5, 2, VertexSet(5, frozenset({0b00011, 0b01100})))
+        spec = SparsePavingSpec(5, 2, SetSystem.from_masks(5, [0b00011, 0b01100]))
         m = sparse_paving_matroid(spec)
-        d = matroid_dual(m)
+        d = dual(m)
         full = (1 << 5) - 1
-        assert set(d.bases()) == {full ^ b for b in m.bases()}
-        assert d.rank == 3
-        assert matroid_dual(d) == m
-        assert dual(m.system) == d.system
+        assert set(d.feasible_masks()) == {full ^ b for b in m.feasible_masks()}
+        assert {b.bit_count() for b in d.feasible_masks()} == {3}
+        assert dual(d) == m
 
     def test_circuit_hyperplane_family_iff_stable(self):
         # a family of 2-sets on four elements is the circuit-hyperplane
@@ -403,7 +414,7 @@ class TestSparsePaving:
 class TestStacked:
     @staticmethod
     def full_spec(n: int, r: int) -> SparsePavingSpec:
-        return SparsePavingSpec(n, r, VertexSet(n))
+        return SparsePavingSpec(n, r, SetSystem(n, 0))
 
     def test_minimal(self):
         d = stacked_even_delta_matroid(
@@ -439,13 +450,13 @@ class TestStacked:
                 2,
                 {
                     0: self.full_spec(2, 0),
-                    1: SparsePavingSpec(2, 1, VertexSet(2)),
+                    1: SparsePavingSpec(2, 1, SetSystem(2, 0)),
                     2: self.full_spec(2, 2),
                 },
             )
 
     def test_emptied_layer_rejected(self):
-        bad = SparsePavingSpec(2, 1, VertexSet(2, frozenset({0b01, 0b10})))
+        bad = SparsePavingSpec(2, 1, SetSystem.from_masks(2, [0b01, 0b10]))
         with pytest.raises(LayerError):
             stacked_even_delta_matroid(
                 3, {0: self.full_spec(3, 0), 2: bad}
@@ -483,4 +494,4 @@ class TestRandomStable:
             assert qn_degree(random_stable_set(5, seed)) == 0
 
     def test_reproducible(self):
-        assert random_stable_set(5, 4).members == random_stable_set(5, 4).members
+        assert random_stable_set(5, 4) == random_stable_set(5, 4)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from deltamatroid import constructions
 from deltamatroid.setsystem import (
     ExchangeWitness,
     ImproperSystemError,
-    Matroid,
     MinorKind,
     SetSystem,
     SystemFormatError,
@@ -24,6 +24,7 @@ from deltamatroid.setsystem import (
     is_even,
     loads_system,
     mask_of,
+    rank_indicator,
     twist,
     _subcube_or,
 )
@@ -31,7 +32,6 @@ from conftest import (
     compose,
     dual,
     is_matroid,
-    matroid_dual,
     minor,
     oracle_first_witness,
     oracle_is_delta_matroid,
@@ -254,6 +254,16 @@ class TestEvenness:
             assert is_even(twist(s, a))
 
 
+class TestRankIndicator:
+    def test_matches_combinations(self):
+        for n in range(13):
+            for r in range(-1, n + 2):
+                expected = 0
+                for combo in combinations(range(n), r) if r >= 0 else ():
+                    expected |= 1 << sum(1 << i for i in combo)
+                assert rank_indicator(n, r) == expected, (n, r)
+
+
 class TestTwist:
     def test_identity(self):
         s = sys_of(2, [1], [2])
@@ -380,10 +390,9 @@ class TestMatroids:
             is_matroid(SetSystem(2, 0))
 
     def test_matroid_dual(self):
-        m = Matroid(sys_of(3, [1, 2], [1, 3], [2, 3]), 2)
-        d = matroid_dual(m)
-        assert d.rank == 1
-        assert d.system == sys_of(3, [3], [2], [1])
+        d = dual(sys_of(3, [1, 2], [1, 3], [2, 3]))
+        assert {b.bit_count() for b in d.feasible_masks()} == {1}
+        assert d == sys_of(3, [3], [2], [1])
 
 
 class TestSerialization:
