@@ -32,6 +32,9 @@ from .setsystem import (
     SetSystem,
     SystemFormatError,
     is_even,
+    parse_document,
+    read_document,
+    require_as_written,
     twist,
 )
 
@@ -282,9 +285,9 @@ class EncodingRecord:
 
     ``s`` is the ordered peeling selection, ``covers`` one partition per
     member of s, ``residual`` the infeasible even sets surviving in the
-    residue A.  ``parity`` records whether the original system was twisted
-    by {1} to make all sizes even.  The peeling parameters alpha and sigma
-    are functions of n.
+    residue A, ascending.  ``parity`` records whether the original system
+    was twisted by {1} to make all sizes even.  The peeling parameters
+    alpha and sigma are functions of n.
     """
 
     n: int
@@ -298,6 +301,8 @@ class EncodingRecord:
             raise EncodingError("one cover required per selected vertex")
         if len(self.s) > s_length_bound(self.n):
             raise EncodingError("selection exceeds its guaranteed length bound")
+        if any(a >= b for a, b in zip(self.residual, self.residual[1:])):
+            raise EncodingError("residual must be strictly ascending")
 
     @property
     def alpha(self) -> Fraction:
@@ -393,54 +398,23 @@ def record_from_dict(doc: object) -> EncodingRecord:
     if not isinstance(doc, dict):
         raise SystemFormatError("record document must be an object")
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= MAX_GROUND_SIZE:
-        raise SystemFormatError(
-            f"field 'n' must be an integer in 2..{MAX_GROUND_SIZE}, got {n!r}"
-        )
+    if type(n) is not int or not 2 <= n <= MAX_GROUND_SIZE:
+        raise SystemFormatError(f"field 'n' must be an integer in 2..{MAX_GROUND_SIZE}, got {n!r}")
     try:
-        parity = Parity(doc["parity"])
-        s = _int_array(doc["s"], "field 's'")
-        if not isinstance(doc["covers"], list):
-            raise SystemFormatError("field 'covers' must be an array of partitions")
-        covers = tuple(
-            _cover_from_doc(n, blocks, i) for i, blocks in enumerate(doc["covers"])
+        s, covers, residual = doc["s"], doc["covers"], doc["residual"]
+        if len(s) > s_length_bound(n) or len(covers) != len(s) or len(residual) > 1 << (n - 1):
+            raise SystemFormatError(f"'s', 'covers' or 'residual' too long for n={n}, or unpaired")
+        record = EncodingRecord(
+            n,
+            Parity(doc["parity"]),
+            tuple(map(int, s)),
+            tuple(Partition(n, tuple(frozenset(map(int, b)) for b in c)) for c in covers),
+            tuple(map(int, residual)),
         )
-        residual = _int_array(doc["residual"], "field 'residual'")
-        if any(a >= b for a, b in zip(residual, residual[1:])):
-            raise SystemFormatError("field 'residual' must be strictly ascending")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SystemFormatError(f"bad record document: {exc}") from None
-    record = EncodingRecord(n, parity, s, covers, residual)
-    for name in ("alpha", "sigma"):
-        expected = str(getattr(record, name))
-        if doc.get(name) != expected:
-            raise SystemFormatError(
-                f"field {name!r} must be {expected!r} for n={n}, got {doc.get(name)!r}"
-            )
+    require_as_written(doc, record_to_dict(record))
     return record
-
-
-def _int_array(value: object, name: str) -> tuple[int, ...]:
-    """A JSON array of JSON integers (booleans excluded), as a tuple."""
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
-        raise SystemFormatError(f"{name} must be an array of integers")
-    return tuple(value)
-
-
-def _cover_from_doc(n: int, blocks: object, i: int) -> Partition:
-    """covers[i] of a record document: an array of blocks, each an array of
-    integers, written exactly as Partition.sorted_blocks() writes them."""
-    if not isinstance(blocks, list):
-        raise SystemFormatError(f"covers[{i}] must be an array of blocks")
-    parts = tuple(frozenset(_int_array(b, f"a block of covers[{i}]")) for b in blocks)
-    cover = Partition(n, parts)
-    if cover.sorted_blocks() != blocks:
-        raise SystemFormatError(
-            f"covers[{i}] must list each block ascending, without repeats, in sorted order"
-        )
-    return cover
 
 
 def dumps_record(record: EncodingRecord) -> str:
@@ -448,16 +422,11 @@ def dumps_record(record: EncodingRecord) -> str:
 
 
 def loads_record(text: str) -> EncodingRecord:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemFormatError(f"invalid JSON: {exc}") from None
-    return record_from_dict(doc)
+    return parse_document(text, record_from_dict)
 
 
 def load_record(path: str | os.PathLike) -> EncodingRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_record(fh.read())
+    return read_document(path, record_from_dict)
 
 
 # --- the counting bound ----------------------------------------------------------

@@ -15,9 +15,11 @@ import os
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 MAX_GROUND_SIZE = 16
+
+T = TypeVar("T")
 
 
 class ImproperSystemError(ValueError):
@@ -268,9 +270,14 @@ def twist(s: SetSystem, mask: int) -> SetSystem:
     return SetSystem(s.n, out)
 
 
-# --- shared set-system document format -------------------------------------
+# --- documents: set-system files and the shared reading rule -----------------
 #
-# {"n": <int>, "feasible": [<mask>, ...]} with masks strictly increasing.
+# A set-system file is exactly {"n": <int>, "feasible": [<mask>, ...]} with
+# the masks strictly increasing: what system_to_dict writes.  Every document
+# the package reads (set systems here, records in encoding) is accepted only
+# if it is the JSON value that the package's own writer produces for what
+# it holds, so each value has exactly one accepted document, up to
+# whitespace and key order.
 
 def system_to_dict(s: SetSystem) -> dict:
     return {"n": s.n, "feasible": list(s.feasible_masks())}
@@ -279,29 +286,54 @@ def system_to_dict(s: SetSystem) -> dict:
 def system_from_dict(doc: object) -> SetSystem:
     if not isinstance(doc, dict):
         raise SystemFormatError("set-system document must be a JSON object")
+    n = doc.get("n")
+    if type(n) is not int or not 0 <= n <= MAX_GROUND_SIZE:
+        raise SystemFormatError(f"field 'n' must be an integer in 0..{MAX_GROUND_SIZE}, got {n!r}")
+    feasible = doc.get("feasible")
+    if not isinstance(feasible, list) or len(feasible) > 1 << n:
+        raise SystemFormatError(f"field 'feasible' must be an array of at most {1 << n} masks")
     try:
-        n = doc["n"]
-        feasible = doc["feasible"]
-    except KeyError as exc:
-        raise SystemFormatError(f"missing field {exc.args[0]!r}") from None
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise SystemFormatError("field 'n' must be an integer")
-    if not 0 <= n <= MAX_GROUND_SIZE:
-        raise SystemFormatError(f"field 'n' must be in 0..{MAX_GROUND_SIZE}, got {n}")
-    if not isinstance(feasible, list):
-        raise SystemFormatError("field 'feasible' must be an array of masks")
-    bits = 0
-    prev = -1
-    for i, m in enumerate(feasible):
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise SystemFormatError(f"feasible[{i}] is not an integer")
-        if not 0 <= m < (1 << n):
-            raise SystemFormatError(f"feasible[{i}]={m} out of range 0..{(1 << n) - 1}")
-        if m <= prev:
-            raise SystemFormatError(f"feasible[{i}]={m} breaks strict ascending order")
-        prev = m
-        bits |= 1 << m
-    return SetSystem(n, bits)
+        system = SetSystem.from_masks(n, map(int, feasible))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SystemFormatError(f"field 'feasible' must hold masks: {exc}") from None
+    require_as_written(doc, system_to_dict(system))
+    return system
+
+
+def require_as_written(doc: dict, written: dict) -> None:
+    """Refuse doc unless it is the JSON value written: the same fields, each
+    with the same json.dumps.  So no float, boolean or string stands for an
+    integer, every array is in the written order, and no field is added or
+    left out."""
+    if json.dumps(doc, sort_keys=True) == json.dumps(written, sort_keys=True):
+        return
+    for key in sorted(doc.keys() | written.keys()):
+        if key not in written:
+            raise SystemFormatError(f"unknown field {key!r}")
+        want = json.dumps(written[key])
+        if json.dumps(doc.get(key)) != want:
+            raise SystemFormatError(
+                f"field {key!r} must be {want if len(want) <= 80 else 'as the package writes it'}"
+            )
+
+
+def parse_document(text: str | bytes, from_dict: Callable[[object], T]) -> T:
+    """from_dict of the JSON value in text, given as str or as UTF-8 bytes.
+    Bytes that are not UTF-8, text that is not JSON, numbers too long for
+    int() and nesting too deep for the json module are SystemFormatErrors."""
+    try:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
+        raise SystemFormatError(f"invalid JSON: {exc}") from None
+    try:
+        return from_dict(doc)
+    except RecursionError:
+        raise SystemFormatError("document nested too deeply") from None
+
+
+def read_document(path: str | os.PathLike, from_dict: Callable[[object], T]) -> T:
+    with open(path, "rb") as fh:
+        return parse_document(fh.read(), from_dict)
 
 
 def dumps_system(s: SetSystem) -> str:
@@ -309,16 +341,11 @@ def dumps_system(s: SetSystem) -> str:
 
 
 def loads_system(text: str) -> SetSystem:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemFormatError(f"invalid JSON: {exc}") from None
-    return system_from_dict(doc)
+    return parse_document(text, system_from_dict)
 
 
 def load_system(path: str | os.PathLike) -> SetSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_system(fh.read())
+    return read_document(path, system_from_dict)
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

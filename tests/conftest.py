@@ -397,6 +397,7 @@ RECORD_TAMPERS = (
     "repeated-residual",
     "unsorted-block",
     "reordered-blocks",
+    "extra-field",
 )
 
 
@@ -426,6 +427,8 @@ def tamper_record(doc: dict, how: str) -> dict:
         next(b for cover in doc["covers"] for b in cover if len(b) > 1).reverse()
     elif how == "reordered-blocks":
         doc["covers"][0].reverse()
+    elif how == "extra-field":
+        doc["note"] = "x"
     else:
         block = next(b for b in doc["covers"][0] if 1 in b)
         if how == "repeated-element":

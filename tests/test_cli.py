@@ -73,8 +73,37 @@ class TestCheck:
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_file(self, tmp_path, capsys):
-        (tmp_path / "bad.json").write_text("{quux")
-        assert main(["check", str(tmp_path / "bad.json")]) == 2
+        # a set-system file is exactly {"n", "feasible"}: no field added
+        for text in ("{quux", '{"n": 2, "feasible": [0, 3], "note": "x"}'):
+            (tmp_path / "bad.json").write_text(text)
+            assert main(["check", str(tmp_path / "bad.json")]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+
+UNDECODABLE = {
+    "utf16-bom": b"\xff\xfe" + '{"n": 2, "feasible": [0]}'.encode("utf-16-le"),
+    "deep-nesting": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+@pytest.mark.parametrize("command", ["check", "encode", "roundtrip", "decode"])
+def test_undecodable_file_is_a_format_error(name, command, tmp_path):
+    # bytes that are not UTF-8, or JSON nested past the json module's
+    # depth, exit 2 with one error line, like any other bad document
+    path = tmp_path / "in.json"
+    path.write_bytes(UNDECODABLE[name])
+    argv = [command, str(path)] if command == "check" else [command, "--in", str(path)]
+    result = subprocess.run(
+        [sys.executable, "-m", "deltamatroid.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 class TestCount:

@@ -488,7 +488,7 @@ class TestCacheFiles:
         assert np.array_equal(healed[3].vectors, levels5[3].vectors)
         assert LevelCache.load(path).n == 3
 
-    def test_build_levels_reuses_and_heals_cache(self, tmp_path):
+    def test_build_levels_reuses_and_heals_cache(self, tmp_path, caplog):
         first = build_levels(3, cache_dir=tmp_path)
         stamp = os.path.getmtime(cache_path(tmp_path, 3))
         second = build_levels(3, cache_dir=tmp_path)
@@ -499,6 +499,27 @@ class TestCacheFiles:
         healed = build_levels(3, cache_dir=tmp_path)
         assert np.array_equal(healed[2].vectors, first[2].vectors)
         LevelCache.load(cache_path(tmp_path, 2))
+        # a valid file holding another level, and one with an unknown
+        # version byte: both are recomputed, and the reason logged
+        with open(cache_path(tmp_path, 3), "rb") as fh:
+            level3 = fh.read()
+        with open(cache_path(tmp_path, 4), "wb") as fh:
+            fh.write(level3)
+        with open(cache_path(tmp_path, 1), "r+b") as fh:
+            fh.seek(4)
+            fh.write(bytes([2]))
+        with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
+            healed = build_levels(4, cache_dir=tmp_path)
+        assert [r.getMessage() for r in caplog.records if "rejected" in r.getMessage()] == [
+            f"level 1: cache file rejected, recomputing: {cache_path(tmp_path, 1)}:"
+            " unsupported version 2",
+            f"level 4: cache file rejected, recomputing: {cache_path(tmp_path, 4)}:"
+            " holds level 3",
+        ]
+        assert np.array_equal(healed[1].vectors, first[1].vectors)
+        assert len(healed[4]) == 5959
+        assert LevelCache.load(cache_path(tmp_path, 1)).n == 1
+        assert LevelCache.load(cache_path(tmp_path, 4)).n == 4
 
 
 class TestCounts:

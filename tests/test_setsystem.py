@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -415,8 +416,19 @@ class TestSerialization:
             loads_system('{"n": 2, "feasible": [4]}')
 
     def test_rejects_bad_json_and_shapes(self):
+        # an added field; masks that int() converts but the writer never
+        # writes; a 5 000-digit integer, which the JSON grammar admits and
+        # int() refuses; Infinity, which int() overflows on; and nesting
+        # around the depth where json.loads, or json.dumps a few frames
+        # deeper, gives up
+        limit = sys.getrecursionlimit()
         for text in ("{", "[]", '{"n": 2}', '{"feasible": []}',
-                     '{"n": "x", "feasible": []}'):
+                     '{"n": "x", "feasible": []}', '{"n": 2, "feasible": [1], "note": "x"}',
+                     '{"n": 2, "feasible": [true]}', '{"n": 2, "feasible": [1.0]}',
+                     '{"n": 2, "feasible": ["1"]}', '{"n": 2, "feasible": [' + "1" * 5000 + "]}",
+                     '{"n": 2, "feasible": [Infinity]}', '{"n": 2, "feasible": [NaN]}',
+                     *('{"n": 2, "feasible": [], "x": ' + "[" * d + "]" * d + "}"
+                       for d in range(limit - 200, limit))):
             with pytest.raises(SystemFormatError):
                 loads_system(text)
 
