@@ -17,14 +17,18 @@ twist/relabel orbit of them at a time: 95 checks for the 6 239 composites
 that pass it at level 4, where checking every composite took 24 335.
 
 Levels 1..5 are listed whole, from one packed bit table per minor over all
-parents.  Level 6 is counted one row per first component, and a row is a
-grid over the pairs (c, d) of the level below: one packed row over d per
-admitted c, ANDed with one table per lower minor.  A table has one row per
-system two levels down that is the minor there of some admitted c: about
-50 of the 156 for a class representative on average.  A row's work grows
-with the c it admits (a few thousand), not with the ~5 M parents, so the
-kernel needs no per-parent minor arrays, and no step that first rejects
-whole blocks of parents and then gathers minors for the survivors.
+parents.  Level 6 is counted one row per first component d1 = (a, b), its
+top-element contraction and deletion, and a row is a grid over the halves
+(c, d) of the second components it can admit: the c with member[a, c] by
+the d with member[b, d], 1 847 of the 5 960 d for a class representative
+on average.  The grid is the AND of one table per lower minor.  A table
+has one row per system two levels down that is the minor there of some
+admitted c (about 50 of the 156 on average) and one column per admitted
+d.  It is False where the minor of the second component is unlisted, so
+the grid keeps only second components whose minors are all listed; the
+16 of those that are not parents, the antipodal pairs on five elements,
+are cleared one bit each.  A row's work grows with its grid, not with
+the ~5 M parents, so the kernel needs no per-parent minor arrays.
 
 Caches of whole levels are numpy arrays of feasibility vectors, sorted
 ascending, and can be persisted in a small binary format (see LevelCache).
@@ -40,7 +44,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -169,7 +173,8 @@ def _split(vectors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     The contraction is the high half of a vector, so it is non-decreasing
     along the systems, and below is its distinct values: on a complete
     level every system d one level down is the contraction of
-    compose(d, improper)."""
+    compose(d, improper).  A deletion's index is read from one table over
+    all values of a half (_half_index), not searched for."""
     half = 1 << (n - 1)
     hi = vectors >> half
     if np.any(hi[1:] < hi[:-1]):
@@ -177,11 +182,20 @@ def _split(vectors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     starts = np.flatnonzero(np.concatenate([[True], hi[1:] != hi[:-1]]))
     below = hi[starts]
     block_len = np.diff(np.append(starts, len(hi)))
-    lo = vectors & ((1 << half) - 1)
-    j = np.searchsorted(below, lo)
-    if np.any(below[np.minimum(j, len(below) - 1)] != lo):
+    lo = _half_index(below, n)[vectors & ((1 << half) - 1)]
+    if np.any(lo == len(below)):
         raise CacheInvariantError("a top-element deletion is not listed")
-    return below, block_len, j.astype(np.uint16)
+    return below, block_len, lo
+
+
+def _half_index(below: np.ndarray, n: int) -> np.ndarray:
+    """The index in below (ascending systems on n - 1 elements) of each
+    value of a half of a system on n elements, or len(below) where that
+    system is not listed; below has fewer than 2^16 systems (level 4 and
+    the improper one: 5 960)."""
+    index = np.full(1 << (1 << (n - 1)), len(below), dtype=np.uint16)
+    index[below] = np.arange(len(below), dtype=np.uint16)
+    return index
 
 
 def _minor_indices(
@@ -231,9 +245,19 @@ def _pack_columns(table: np.ndarray, minors: np.ndarray) -> np.ndarray:
     return np.packbits(np.take(table.view(np.uint8), minors, axis=1), axis=1, bitorder="little")
 
 
+def _set_bits(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the set bits of a 2-D table packed along its rows
+    (little bit order), in row-major order."""
+    r, byte = np.nonzero(packed)
+    bits = np.unpackbits(packed[r, byte][:, None], axis=1, bitorder="little")
+    k, bit = np.nonzero(bits)
+    return r[k], byte[k] * 8 + bit
+
+
 # the minor-membership criterion decides delta-matroids from five elements on
 _CRITERION_FROM = 5
 _COMPOSE_CHUNK = 1024
+_READ_CHUNK = 64
 _EVEN_CHUNK = 1 << 16
 
 
@@ -258,10 +282,19 @@ class _ComposeKernel:
     composite of the minors of d1 and d2 there; a system one level down has
     its minors as indices one level further down, and ``compose[x, y]``
     gives back the index of compose(x, y) in the level below.  So every
-    minor is a parent iff member[a, c], member[b, d] and, per lower
-    (element, kind), ``member[m1, compose[c_p, d_p]]``, with m1 the minor
-    of d1 and c_p, d_p those of c and d.  The kernel holds member, its rows
-    packed, those small tables and each parent's b: no per-parent minors.
+    minor is a parent iff member[c, d] (d2 is a parent), member[a, c],
+    member[b, d] and, per lower (element, kind),
+    ``member[m1, compose[c_p, d_p]]``, with m1 the minor of d1 and c_p,
+    d_p those of c and d.  The kernel holds member, those small tables and
+    each parent's b: no per-parent minors.
+
+    The rows (child levels 5 and 6) test member[a, c] and member[b, d] by
+    their grid's extent and the lower minors by their tables, which are
+    False where a minor of d2 is unlisted.  That leaves member[c, d]: of
+    the pairs whose minors are all listed, the ones that are not parents
+    (``_nonparents``, found at init from the same packed tables that check
+    the level) are cleared in every row that holds them, 16 at child level
+    6 and 280 at child level 5.
 
     From five elements on, a proper system whose minors are all parents is
     a delta-matroid unless its feasible family is a single antipodal pair
@@ -286,13 +319,21 @@ class _ComposeKernel:
             hi = np.repeat(np.arange(len(self.below), dtype=np.uint16), self._block_len)
             self.member = np.zeros((len(self.below), len(self.below)), dtype=bool)
             self.member[hi, self._lo] = True
-            self._packed = np.packbits(self.member, axis=1, bitorder="little")
+        self._nonparents = (np.zeros(0, dtype=np.intp),) * 2
         if prev.n > 1:
             self._lower, self._compose = _compose_table(self.below, prev.n - 1)
             unlisted = self._compose == len(self.below)
+            packed = np.packbits(self.member, axis=1, bitorder="little")
+            # the pairs (c, d) that are parents or have an unlisted lower minor
+            ruled_out = packed.copy()
             for (p, kind), m in self._lower.items():
-                if np.any(self._packed & _pack_columns(unlisted, m)[m]):
+                table = _pack_columns(unlisted, m)[m]
+                if np.any(packed & table):
                     raise CacheInvariantError(f"a ({p + 1}, {kind.value}) minor is not listed")
+                ruled_out |= table
+            # the others have every minor listed but are not parents
+            pad = np.packbits(np.ones(len(self.below), dtype=bool), bitorder="little")
+            self._nonparents = _set_bits(~ruled_out & pad)
         self._excluded = self._excluded_pairs()
 
     def _excluded_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -311,65 +352,85 @@ class _ComposeKernel:
         found = parents[j] == partner
         return np.append(first, single[found]), np.append(second, j[found])
 
-    def _halves(self, parent_index: int) -> tuple[int, int]:
-        """A parent's (a, b) as indices into the level below."""
-        a = np.searchsorted(self.below, self.parents[parent_index] >> (1 << (self.child_n - 2)))
-        return int(a), int(self._lo[parent_index])
+    def _halves(self, parents):
+        """The (a, b) of a parent, or of an array of parents, as indices
+        into the level below."""
+        a = np.searchsorted(self.below, self.parents[parents] >> (1 << (self.child_n - 2)))
+        return a, self._lo[parents]
 
-    def _row(self, parent_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(admitted, rows): the row of d1 = (a, b) as a grid over the
-        second components d2 = (c, d).  ``admitted`` marks the c with
-        member[a, c]; ``rows`` holds, per admitted c in turn, the packed
-        bits over d of the d2 that make a delta-matroid with d1.
+    def _row(self, parent_index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cs, ds, rows): the row of d1 = (a, b) as a grid over the second
+        components d2 = (c, d) with c in ``cs``, the c with member[a, c],
+        and d marked in ``ds``, the d with member[b, d].  ``rows`` holds,
+        per c in cs, the packed bits over those d, by rank, of the d2 that
+        make a delta-matroid with d1.
 
-        Each row starts as the AND of the packed member[c] (d2 is a
-        parent) and member[b], then ANDs in one table per lower
-        (element, kind), gathered by c's minor there.  A table has a row
-        only for the minors there of the admitted c, ranked in ascending
-        order: about 50 of the 156 systems two levels down on average, and
-        all of them when a is improper and admits every c.  Work grows with
-        the admitted c, not with the ~5 M parents."""
+        Each row is the AND of one table per lower (element, kind),
+        gathered by c's minor there.  A table has a row only for the
+        minors there of the c in cs, ranked in ascending order, and a
+        column per d: about 50 of the 156 systems two levels down by
+        1 847 of the 5 960 d for a class representative on average, and
+        all of them when a and b are improper.  A table is False where
+        the minor of d2 is unlisted, so the grid also requires every
+        minor of d2 to be listed; the pairs that pass that but are not
+        parents (``_nonparents``) are cleared with the excluded ones.
+        Work grows with the grid, not with the ~5 M parents."""
         _require_criterion(self.child_n)
-        a, b = self._halves(parent_index)
-        admitted = self.member[a]
-        cs = np.flatnonzero(admitted)
-        rows = self._packed[cs] & self._packed[b]
+        a, b = map(int, self._halves(parent_index))
+        cs = np.flatnonzero(self.member[a])
+        ds = self.member[b]
+        rows = None
         for m in self._lower.values():
             mc = m[cs]
             read = np.zeros(len(self._compose), dtype=bool)
             read[mc] = True
             # whether d1's minor here composes to a parent with each system
             # one level down, the unlisted ones included as False, for the
-            # minors that some admitted c has here
+            # minors that some c has here
             w = np.append(self.member[self._compose[m[a], m[b]]], False)
-            table = _pack_columns(w[self._compose[read]], m)
-            rows &= table[(np.cumsum(read) - 1)[mc]]
+            table = _pack_columns(w[self._compose[read]], m[ds])[(np.cumsum(read) - 1)[mc]]
+            if rows is None:
+                rows = table
+            else:
+                rows &= table
+        # clear the pairs that are not parents and the excluded pairs
         first, second = self._excluded
-        for c, d in map(self._halves, second[first == parent_index]):
-            if admitted[c]:
-                rows[np.searchsorted(cs, c), d >> 3] &= ~np.uint8(1 << (d & 7))
-        return admitted, rows
+        c, d = map(np.append, self._nonparents, self._halves(second[first == parent_index]))
+        keep = self.member[a, c] & ds[d]
+        r, col = np.searchsorted(cs, c[keep]), (np.cumsum(ds) - 1)[d[keep]]
+        np.bitwise_and.at(rows, (r, col >> 3), ~np.left_shift(1, col & 7).astype(np.uint8))
+        return cs, ds, rows
 
     def row_count(self, parent_index: int) -> int:
         """The number of second components that make a delta-matroid with
         the given first component (child levels 5 and 6)."""
-        return int(np.bitwise_count(self._row(parent_index)[1]).sum())
+        return int(np.bitwise_count(self._row(parent_index)[2]).sum())
 
     def row_ok(self, parent_index: int) -> np.ndarray:
         """Boolean array over all parents-as-second-component: True where
         the composed system is a delta-matroid (child levels 5 and 6).
 
-        The parents whose contraction c is admitted form contiguous blocks,
-        and each of them reads its verdict in c's grid row at its deletion
-        d: one gather at the admitted parents, with no mask over the
-        whole grid."""
-        admitted, rows = self._row(parent_index)
-        width = len(self.below)
-        grid = np.unpackbits(rows, axis=1, count=width, bitorder="little").view(bool).ravel()
-        block = np.repeat(admitted, self._block_len)
-        row_start = np.arange(0, grid.size, width, dtype=np.int32)
+        The parents whose contraction is some c of the grid form one
+        contiguous block per c, and they are read _READ_CHUNK c at a time.
+        The chunk's grid rows are unpacked with one more column, a padding
+        bit and so False, for the d outside the grid, and each parent of
+        the chunk's blocks reads its verdict at its row and its deletion's
+        column: the gathers and the write stay within those blocks."""
+        cs, ds, rows = self._row(parent_index)
+        width = int(np.count_nonzero(ds)) + 1
+        column = np.where(ds, np.cumsum(ds) - 1, width - 1)
+        starts = np.cumsum(self._block_len) - self._block_len
         ok = np.zeros(len(self.parents), dtype=bool)
-        ok[block] = grid[self._lo[block] + np.repeat(row_start, self._block_len[admitted])]
+        for k in range(0, len(cs), _READ_CHUNK):
+            chunk = slice(k, k + _READ_CHUNK)
+            grid = np.unpackbits(rows[chunk], axis=1, count=width, bitorder="little").view(bool)
+            lengths = self._block_len[cs[chunk]]
+            # the chunk's parents, block after block, and where each reads
+            spans = np.repeat(starts[cs[chunk]] - np.cumsum(lengths) + lengths, lengths)
+            spans += np.arange(len(spans))
+            at = np.repeat(np.arange(0, grid.size, width), lengths)
+            at += np.take(column, self._lo[spans])
+            ok[spans] = grid.ravel()[at]
         return ok
 
     def compose_level(self) -> np.ndarray:
@@ -534,8 +595,55 @@ def _symmetries(n: int) -> np.ndarray:
     return (relabel[:, None, :] ^ masks[None, :, None]).reshape(-1, 1 << n)
 
 
+def _indexer(vals: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The lookup from systems on n >= 1 elements to their indices in vals,
+    which are ascending: it raises CacheInvariantError if one is not there.
+
+    A system is the pair (r, d) of its top-element contraction and
+    deletion, and vals is ascending in that pair (_split).  One table gives
+    each half its index among the contractions, or len(below) if it is not
+    one, and the pairs in vals are one bit row per contraction, over the
+    deletions, with a spare row and column that stay clear.  Laid end to
+    end, the rows make a system's index the count of the set bits before
+    its own: a prefix count per 64-bit word and one popcount, with no
+    search of vals."""
+    try:
+        below, block_len, lo = _split(vals, n)
+    except CacheInvariantError as exc:
+        raise CacheInvariantError(f"cache not closed under twist/relabel: {exc}") from None
+    half, count = 1 << (n - 1), len(below)
+    where = _half_index(below, n).astype(np.uint64)
+    width = ((count >> 6) + 1) * 64
+    packed = np.zeros((count + 1, width >> 3), dtype=np.uint8)
+    ends = np.cumsum(block_len)
+    # one chunk of contractions at a time, not one bool table of them all
+    for r in range(0, count, _COMPOSE_CHUNK):
+        block = np.zeros((min(_COMPOSE_CHUNK, count - r), width), dtype=bool)
+        members = slice(ends[r] - block_len[r], ends[r + len(block) - 1])
+        block[np.repeat(np.arange(len(block)), block_len[r:r + len(block)]), lo[members]] = True
+        packed[r:r + len(block)] = np.packbits(block, axis=1, bitorder="little")
+    words = packed.view("<u8").ravel()
+    ones = np.bitwise_count(words)
+    # the set bits before each word, less the one a system's own bit adds
+    before = np.cumsum(ones, dtype=np.int64) - ones - 1
+
+    def index(systems: np.ndarray) -> np.ndarray:
+        at = where[systems >> half] * width + where[systems & ((1 << half) - 1)]
+        word = at >> 6
+        # each system's word, shifted to end at its own bit (~at & 63 is
+        # 63 minus the bit's place)
+        head = words[word] << (~at & 63)
+        if not (head >> 63).all():
+            raise CacheInvariantError(
+                "cache not closed under twist/relabel: an image is not listed"
+            )
+        return before[word] + np.bitwise_count(head)
+
+    return index
+
+
 def _orbits(vals: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(i, members) per twist/relabel orbit of ascending systems on n
+    """(i, members) per twist/relabel orbit of ascending systems on n >= 1
     elements, in ascending order of the orbit minima: the index of the
     minimum and the indices of every member, ascending.
 
@@ -545,8 +653,10 @@ def _orbits(vals: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
     every symmetry, and is marked seen.  The next unseen system is found
     by argmin over a window of the seen flags at a time.  The images are
     deduplicated by a sort and an adjacent-difference mask (np.unique
-    would import numpy.ma, which nothing else on the count path needs)."""
+    would import numpy.ma, which nothing else on the count path needs),
+    and found in vals by _indexer."""
     group = _symmetries(n)
+    index = _indexer(vals, n)
     seen = np.zeros(len(vals), dtype=bool)
     for start in range(0, len(vals), _SWEEP_WINDOW):
         window = seen[start:start + _SWEEP_WINDOW]
@@ -555,10 +665,7 @@ def _orbits(vals: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
             bits = np.unpackbits(vals[i:i + 1].view(np.uint8), bitorder="little")
             images = np.packbits(bits[group], axis=1, bitorder="little").view(vals.dtype)
             images = np.sort(images.ravel())
-            orbit = images[np.append(True, images[1:] != images[:-1])]
-            j = np.searchsorted(vals, orbit)
-            if np.any(vals[np.minimum(j, len(vals) - 1)] != orbit):
-                raise CacheInvariantError("cache not closed under twist/relabel")
+            j = index(images[np.append(True, images[1:] != images[:-1])])
             seen[j] = True
             yield i, j
 
@@ -580,16 +687,20 @@ _CLASS_ORDER_SEED = 0
 def count_next_level_via_classes(prev: LevelCache, threads: int = 1) -> int:
     """Count the next level without listing it.
 
-    One compatibility row is counted per equivalence class representative
-    (``row_count``) and weighted by class size; the improper first component
-    contributes one full previous level.  Requires child level 5 or 6.  The
+    The classes come from one sweep over the previous level (_orbits),
+    which finds each orbit's members by lookups of their halves
+    (_indexer).  One compatibility row is counted per equivalence class
+    representative (``row_count``: the bit count of its grid over the
+    admitted halves) and weighted by class size; the improper first
+    component contributes one full previous level.  Requires child level
+    5 or 6.  The
     rows run in a pool of ``threads`` threads (the kernel's numpy gathers
     release the GIL).  Each phase is logged at INFO with its seconds: the
     canonicalization (with the class count), the kernel init and the rows.
     In between, every 50th row and the last are logged at INFO, in row
     order, with the seconds since the count began and the time left at
     the rate since the first row, such as
-    ``level 6: classes 50/2902 5.1s eta 22s``.
+    ``level 6: classes 50/2902 2.0s eta 7s``.
 
     Rows cost more the more second components a class admits, and that
     grows along the ascending representatives, so the classes are visited

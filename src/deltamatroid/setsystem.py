@@ -73,12 +73,16 @@ class SetSystem:
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> SetSystem:
-        bits = 0
+        """The system whose feasible masks are the given ones, in any order
+        and with repeats allowed.  The bits are set in one byte array of
+        2^n/8 bytes and converted to an int once, so the cost is linear in
+        the number of masks plus 2^n."""
+        buf = bytearray(((1 << n) + 7) >> 3)
         for m in masks:
             if not 0 <= m < (1 << n):
                 raise ValueError(f"subset mask {m} out of range for n={n}")
-            bits |= 1 << m
-        return cls(n, bits)
+            buf[m >> 3] |= 1 << (m & 7)
+        return cls(n, int.from_bytes(buf, "little"))
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> SetSystem:
@@ -264,10 +268,7 @@ def twist(s: SetSystem, mask: int) -> SetSystem:
         raise ValueError(f"twist mask {mask} out of range for n={s.n}")
     if mask == 0:
         return s
-    out = 0
-    for m in s.feasible_masks():
-        out |= 1 << (m ^ mask)
-    return SetSystem(s.n, out)
+    return SetSystem.from_masks(s.n, (m ^ mask for m in s.feasible_masks()))
 
 
 # --- documents: set-system files and the shared reading rule -----------------

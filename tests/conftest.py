@@ -20,6 +20,7 @@ from deltamatroid.levels import (
     _ComposeKernel,
     _dtype_for,
     _minor_indices,
+    _symmetries,
     build_levels,
 )
 from deltamatroid.encoding import (
@@ -290,6 +291,25 @@ def row_loop_level(prev: LevelCache) -> LevelCache:
 
 
 # --- twist/relabel class oracle ----------------------------------------------
+
+def searchsorted_orbits(vals: np.ndarray, n: int):
+    """(i, members) per twist/relabel orbit of ascending systems, as
+    levels._orbits yields them, with each orbit found in vals by
+    np.searchsorted over the whole of vals and deduplicated as a Python
+    set."""
+    group = _symmetries(n)
+    seen = np.zeros(len(vals), dtype=bool)
+    for i in range(len(vals)):
+        if seen[i]:
+            continue
+        bits = np.unpackbits(vals[i:i + 1].view(np.uint8), bitorder="little")
+        images = np.packbits(bits[group], axis=1, bitorder="little").view(vals.dtype)
+        orbit = np.array(sorted(set(images.ravel().tolist())), dtype=vals.dtype)
+        j = np.searchsorted(vals, orbit)
+        assert np.array_equal(vals[np.minimum(j, len(vals) - 1)], orbit), "not closed"
+        seen[j] = True
+        yield i, j
+
 
 def _generators(n: int) -> list:
     """The twists by {e} and the transpositions of e and e + 1, acting on

@@ -46,6 +46,7 @@ from tests.conftest import (
     oracle_orbit,
     parent_minors,
     row_loop_level,
+    searchsorted_orbits,
 )
 
 EXPECTED_D = {1: 3, 2: 15, 3: 155, 4: 5959, 5: 4980259}
@@ -179,6 +180,37 @@ class TestOrbitDecidedLevels:
             covered[members] += 1
         assert np.all(covered == 1)
         assert firsts == sorted(firsts)
+
+    @pytest.mark.parametrize(
+        "n, candidates", [(1, False), (2, False), (3, False), (4, False), (4, True)]
+    )
+    def test_orbits_match_searchsorted(self, levels5, n, candidates):
+        vals = composite_candidates(levels5[n - 1]) if candidates else levels5[n].vectors
+        got = [(i, members.tolist()) for i, members in levels._orbits(vals, n)]
+        assert got == [(i, members.tolist()) for i, members in searchsorted_orbits(vals, n)]
+
+    def test_orbit_lookup_refuses_an_unlisted_half(self, levels5):
+        # no system keeps {123} (mask 7, vector 1 << 7) as its top-element
+        # contraction or deletion, but the single-set system {123} is an
+        # image of {empty set}: its deletion is not listed
+        v = levels5[4].vectors
+        hi, lo = v >> 8, v & 255
+        kept = v[(hi != 1 << 7) & (lo != 1 << 7)]
+        assert 1 << 7 not in kept and 1 in kept
+        with pytest.raises(CacheInvariantError, match="not closed.*image is not listed"):
+            list(levels._orbits(kept, 4))
+        # kept as a deletion only, it is refused before any lookup
+        with pytest.raises(CacheInvariantError, match="not closed.*deletion is not listed"):
+            list(levels._orbits(v[hi != 1 << 7], 4))
+
+    def test_orbit_lookup_refuses_an_unlisted_pair(self, levels5):
+        # 1 << 15 is the single-set system {1234}: its halves {123} and the
+        # improper system are both listed, but the pair is gone
+        v = levels5[4].vectors
+        kept = v[v != 1 << 15]
+        assert 1 << 7 in kept >> 8 and 0 in kept & 255
+        with pytest.raises(CacheInvariantError, match="not closed.*image is not listed"):
+            list(levels._orbits(kept, 4))
 
 
 class TestFastCheck:
@@ -314,28 +346,56 @@ class TestLevel6Kernel:
         assert {i: kernel.row_count(i % size) for i in self.PINNED} == self.PINNED
 
     def test_tables_hold_only_the_rows_read(self, kernel, monkeypatch):
-        built = []
+        built, widths = [], []
         pack = levels._pack_columns
 
         def recording(table, minors):
             built.append(len(table))
+            widths.append(len(minors))
             return pack(table, minors)
 
         monkeypatch.setattr(levels, "_pack_columns", recording)
         # row 123456 admits 134 c, whose minors are 20 or 32 of the 156
-        # systems two levels down
+        # systems two levels down, and its tables have one column per d
+        # with member[b, d], not one per system of the level below
         assert kernel.row_count(123456) == self.PINNED[123456]
-        cs = np.flatnonzero(kernel.member[kernel._halves(123456)[0]])
+        a, b = kernel._halves(123456)
+        cs = np.flatnonzero(kernel.member[a])
         read = [len(np.unique(m[cs])) for m in kernel._lower.values()]
         assert built == read and max(read) < len(kernel._compose), read
-        # the improper first component admits every c, so every row is read
+        ds = int(np.count_nonzero(kernel.member[b]))
+        assert widths == [ds] * len(kernel._lower) and ds < len(kernel.below), ds
+        # the improper first component admits every c and every d, so every
+        # row and column is read
         built.clear()
+        widths.clear()
         assert kernel.row_count(0) == self.PINNED[0]
         assert built == [len(kernel._compose)] * len(kernel._lower)
+        assert widths == [len(kernel.below)] * len(kernel._lower)
+
+    def test_nonparent_pairs_pinned(self, kernel, levels5):
+        # the pairs (c, d) whose composite has every minor listed but is not
+        # a parent: at child level 6 the antipodal pairs on five elements,
+        # {A} on four elements with {[4] - A}, and 280 at child level 5,
+        # where the minor test is not sufficient
+        c, d = kernel._nonparents
+        pairs = sorted(zip(kernel.below[c].tolist(), kernel.below[d].tolist()))
+        assert pairs == sorted((1 << a, 1 << (a ^ 15)) for a in range(16))
+        composites = [compose(SetSystem(4, x), SetSystem(4, y)).bits for x, y in pairs]
+        assert sorted(composites) == sorted(s.bits for s in antipodal_systems(5))
+        assert len(_ComposeKernel(levels5[4])._nonparents[0]) == 280
+
+    def test_rows_need_the_nonparent_pairs(self, kernel, monkeypatch):
+        # the improper first component admits every parent but itself; with
+        # the list emptied, it also admits the 16 antipodal pairs
+        monkeypatch.setattr(kernel, "_nonparents", (np.zeros(0, dtype=np.intp),) * 2)
+        assert kernel.row_count(0) == EXPECTED_D[5] + 16
+        # the boolean row reads the grid at parents only, so it misses them
+        assert np.count_nonzero(kernel.row_ok(0)) == EXPECTED_D[5]
 
     def test_kernel_holds_no_per_parent_minors(self, levels5):
-        # the tables are member (35 MB), its packed rows, the parents and
-        # their deletions: ten 5 M-entry minor arrays would add 100 MB
+        # the tables are member (35 MB), the parents and their deletions:
+        # ten 5 M-entry minor arrays would add 100 MB
         tracemalloc.start()
         try:
             kernel = _ComposeKernel(levels5[5])
@@ -639,6 +699,16 @@ class TestClassCounting:
     )
     def test_level6_count_pinned(self, levels5):
         assert count_next_level_via_classes(levels5[5]) == EXPECTED_D6
+
+    def test_count_needs_the_nonparent_pairs(self, levels5, monkeypatch):
+        init = _ComposeKernel.__init__
+
+        def emptied(kernel, prev):
+            init(kernel, prev)
+            kernel._nonparents = (np.zeros(0, dtype=np.intp),) * 2
+
+        monkeypatch.setattr(_ComposeKernel, "__init__", emptied)
+        assert count_next_level_via_classes(levels5[4]) > EXPECTED_D[5]
 
     def test_row_count_reads_the_boolean_row(self, levels5):
         kernel = _ComposeKernel(levels5[4])

@@ -64,6 +64,43 @@ class TestSetSystem:
         with pytest.raises(ValueError):
             SetSystem.from_masks(2, [4])
 
+    @staticmethod
+    def or_loop(n, masks):
+        """The feasibility int built one ``1 << m`` at a time, refusing the
+        first out-of-range mask."""
+        bits = 0
+        for m in masks:
+            if not 0 <= m < (1 << n):
+                raise ValueError(f"subset mask {m} out of range for n={n}")
+            bits |= 1 << m
+        return bits
+
+    def test_from_masks_matches_or_loop(self):
+        rng = random.Random(16)
+        for n in range(17):
+            size = 1 << n
+            masks = [rng.randrange(size) for _ in range(min(size, 300))]
+            masks += masks[: len(masks) // 3] + [0, size - 1, size - 1]
+            rng.shuffle(masks)
+            assert masks != sorted(masks) or n == 0
+            built = SetSystem.from_masks(n, masks)
+            assert built.bits == self.or_loop(n, masks), n
+            every = list(range(size))[::-1] * 2
+            assert SetSystem.from_masks(n, every).bits == (1 << size) - 1
+            for a in (0, size - 1, rng.randrange(size)):
+                expected = self.or_loop(n, (m ^ a for m in built.feasible_masks()))
+                assert twist(built, a).bits == expected, (n, a)
+            # the error names the first mask out of range, as the loop's does
+            for bad in (size, -1):
+                refused = masks[:5] + [bad, size + 7] + masks[5:]
+                with pytest.raises(ValueError) as got:
+                    SetSystem.from_masks(n, refused)
+                with pytest.raises(ValueError) as want:
+                    self.or_loop(n, refused)
+                assert str(got.value) == str(want.value) == (
+                    f"subset mask {bad} out of range for n={n}"
+                )
+
     def test_improper_is_representable(self):
         s = SetSystem(3, 0)
         assert not s.is_proper
