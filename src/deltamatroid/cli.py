@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: check, count, count-even, construct, encode, decode,
-roundtrip, spectrum, bound.  Exit codes: 0 success/pass, 1 property
+Subcommands: check, count, construct, encode, decode, roundtrip,
+spectrum, bound.  Exit codes: 0 success/pass, 1 property
 violation, 2 usage, format or I/O error (a level cache that is not a
 complete level included), 3 resource limit.  Output is
 deterministic for a fixed invocation; the DM_CACHE_DIR environment
@@ -92,14 +92,13 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    levels.check_count_limits(args.max_n, args.allow_n6)
+    levels.check_count_limits(args.max_n)
     store = levels.build_levels(
         min(args.max_n, levels.MAX_LISTED_LEVEL),
         cache_dir=_resolve_cache_dir(args.cache_dir),
     )
     reports = levels.count_report(
-        args.max_n, store, with_even=args.with_even, allow_n6=args.allow_n6,
-        threads=args.threads,
+        args.max_n, store, with_even=args.with_even, threads=args.threads
     )
     doc = {
         "levels": [
@@ -118,19 +117,6 @@ def cmd_count(args: argparse.Namespace) -> int:
         if args.with_even:
             row += f"  {r.e if r.e is not None else '-':>8}"
         lines.append(row)
-    _report(args, doc, lines)
-    return EXIT_PASS
-
-
-def cmd_count_even(args: argparse.Namespace) -> int:
-    if args.max_n > levels.MAX_LISTED_LEVEL:
-        raise levels.ResourceLimitError(
-            f"even counts go up to level {levels.MAX_LISTED_LEVEL}"
-        )
-    store = levels.build_levels(args.max_n, cache_dir=_resolve_cache_dir(args.cache_dir))
-    rows = [(n, levels.count_even(store[n])) for n in range(1, args.max_n + 1)]
-    doc = {"levels": [{"n": n, "e": e} for n, e in rows]}
-    lines = [f"{'n':>2}  {'e_n':>8}"] + [f"{n:>2}  {e:>8}" for n, e in rows]
     _report(args, doc, lines)
     return EXIT_PASS
 
@@ -244,13 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact delta-matroid counts per level")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--with-even", action="store_true")
-    p.add_argument("--allow-n6", action="store_true",
-                   help="admit the long-running level-6 class count")
     p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("count-even", help="counts of even delta-matroids")
-    p.add_argument("--max-n", type=int, default=5)
-    p.set_defaults(func=cmd_count_even)
 
     p = sub.add_parser("construct", help="emit a constructed system")
     p.add_argument("kind", choices=(

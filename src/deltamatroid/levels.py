@@ -526,29 +526,26 @@ def _verify_count_invariants(reports: list[CountReport]) -> None:
             raise ValueError(f"gamma not decreasing at level {b.n}")
 
 
-def check_count_limits(n_max: int, allow_n6: bool) -> None:
+def check_count_limits(n_max: int) -> None:
     """Refuse a count request beyond the supported levels, before any work."""
     if n_max > MAX_COUNTED_LEVEL:
         raise ResourceLimitError(f"counts beyond level {MAX_COUNTED_LEVEL} unsupported")
-    if n_max > MAX_LISTED_LEVEL and not allow_n6:
-        raise ResourceLimitError("level 6 counting requires the explicit opt-in flag")
 
 
 def count_report(
     n_max: int,
     levels: dict[int, LevelCache],
     with_even: bool = False,
-    allow_n6: bool = False,
     threads: int = 1,
 ) -> list[CountReport]:
     """Exact counts and gamma statistics for levels 1..n_max.
 
-    ``levels`` must hold caches for 1..min(n_max, 5).  Level 6 is count-only
-    and gated behind allow_n6; it is counted from level 5 by
-    equivalence-class counting (slow), with ``threads`` passed to
-    count_next_level_via_classes, which logs its progress.
+    ``levels`` must hold caches for 1..min(n_max, 5).  Level 6 is counted,
+    not listed, so its report has no e: count_next_level_via_classes counts
+    it from level 5 in seconds, on ``threads`` threads, and logs its
+    progress.
     """
-    check_count_limits(n_max, allow_n6)
+    check_count_limits(n_max)
     reports = []
     for n in range(1, n_max + 1):
         if n <= MAX_LISTED_LEVEL:

@@ -140,11 +140,8 @@ class TestCount:
         )
         assert result.returncode == 0, result.stderr
 
-    def test_level6_needs_flag(self, capsys):
-        assert main(["count", "--max-n", "6"]) == 3
-        assert "resource limit" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [["--max-n", "6"], ["--max-n", "7", "--allow-n6"]])
+    # 16 passes the ground-set check and still stops at the count limit
+    @pytest.mark.parametrize("argv", [["--max-n", "7"], ["--max-n", "16"]])
     def test_limits_refused_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
         def class_count(*args, **kwargs):
             raise AssertionError("level-6 class count started")
@@ -167,8 +164,20 @@ class TestCount:
 
         monkeypatch.setattr(levels, "count_next_level_via_classes", counted)
 
+    def test_level6_needs_no_flag(self, count_level4, capsys):
+        assert main(["count", "--max-n", "6"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split()[:2] == ["6", "1000000000000"]
+
+    @pytest.mark.skipif(
+        not os.environ.get("DM_SLOW_TESTS"),
+        reason="full level-6 class count (about 10 s); set DM_SLOW_TESTS=1",
+    )
+    def test_level6_count_end_to_end(self, capsys):
+        assert main(["count", "--max-n", "6"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split()[:2] == ["6", "2746801811279"]
+
     def test_verbose_level6_progress_has_eta(self, count_level4, capsys):
-        assert main(["--verbose", "count", "--max-n", "6", "--allow-n6"]) == 0
+        assert main(["--verbose", "count", "--max-n", "6"]) == 0
         verbose = capsys.readouterr()
         # the level-store records come first, then the class count's
         lines = verbose.err.splitlines()
@@ -181,7 +190,7 @@ class TestCount:
                 r"deltamatroid\.levels: level 5: classes \d+/90 \d+\.\ds eta \d+s", line
             ), line
         assert progress[-1].endswith(" eta 0s")
-        assert main(["count", "--max-n", "6", "--allow-n6"]) == 0
+        assert main(["count", "--max-n", "6"]) == 0
         quiet = capsys.readouterr()
         assert quiet.err == ""
         assert quiet.out == verbose.out
@@ -190,10 +199,10 @@ class TestCount:
     def test_verbose_class_count_phases_on_stderr_only(self, count_level4, capsys):
         # the class count's phase and progress records go to stderr, and
         # stdout does not change
-        assert main(["count", "--max-n", "6", "--allow-n6"]) == 0
+        assert main(["count", "--max-n", "6"]) == 0
         quiet = capsys.readouterr()
         assert quiet.err == ""
-        assert main(["--verbose", "count", "--max-n", "6", "--allow-n6"]) == 0
+        assert main(["--verbose", "count", "--max-n", "6"]) == 0
         verbose = capsys.readouterr()
         assert verbose.out == quiet.out
         records = verbose.err.splitlines()
@@ -222,7 +231,7 @@ class TestCount:
         # d_6 has 13 digits: the column widens for every row alike
         d6 = 2746801811279
         monkeypatch.setattr(levels, "count_next_level_via_classes", lambda *a, **k: d6)
-        assert main(["count", "--max-n", "6", "--allow-n6", "--with-even"]) == 0
+        assert main(["count", "--max-n", "6", "--with-even"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == " n            d_n       gamma       e_n"
         assert lines[-1] == f" 6  {d6}    0.368799         -"
@@ -241,12 +250,16 @@ class TestCount:
         assert main(["count", "--max-n", "17"]) == 2
 
     def test_count_even_values(self, capsys):
-        assert main(["--format", "json", "count-even", "--max-n", "4"]) == 0
+        assert main(["--format", "json", "count", "--max-n", "4", "--with-even"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [row["e"] for row in doc["levels"]] == [2, 6, 30, 294]
 
-    def test_count_even_level_limit(self, capsys):
-        assert main(["count-even", "--max-n", "6"]) == 3
+    def test_count_even_level_limit(self, monkeypatch, capsys):
+        # even counts stop at level 5: level 6 is counted, not listed
+        monkeypatch.setattr(levels, "count_next_level_via_classes", lambda *a, **k: 10**12)
+        assert main(["--format", "json", "count", "--max-n", "6", "--with-even"]) == 0
+        rows = json.loads(capsys.readouterr().out)["levels"]
+        assert ["e" in row for row in rows] == [True] * 5 + [False]
 
     def test_cache_reuse_is_byte_identical(self, tmp_path, monkeypatch, capsys):
         cache_dir = tmp_path / "cache"
@@ -503,7 +516,6 @@ class TestLimits:
         ["spectrum", "--n", "300000000"],
         ["bound", "--n", "1100"],
         ["count", "--max-n", "0"],
-        ["count-even", "--max-n", "0"],
     ], ids=lambda argv: "-".join(argv).replace("--", ""))
     def test_size_refused_before_any_work(self, argv, capsys):
         assert main(argv) == 2
@@ -511,7 +523,7 @@ class TestLimits:
 
     @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
     def test_threads_refused_before_any_work(self, threads, tmp_path, capsys):
-        argv = ["--threads", str(threads), "count", "--max-n", "6", "--allow-n6"]
+        argv = ["--threads", str(threads), "count", "--max-n", "6"]
         assert main(argv) == 2
         assert "--threads must be in 1.." in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
@@ -567,6 +579,15 @@ class TestPinnedOutput:
             "bell_bound: 15\n"
             "log_e_n_bound: 33.49149345455791\n"
         )
+
+    # the only command that prints e_n, over every listed level
+    @pytest.mark.parametrize("fmt, digest", [
+        ("text", "212da03289f0f426a7161793e771290d675774066c910c704605d70ef78c9856"),
+        ("json", "77faa9486818b01a0835063e193e011f30c7e844236b4f2fba3e794b998f0db7"),
+    ])
+    def test_count_with_even_pinned(self, fmt, digest, capsys):
+        assert main(["--format", fmt, "count", "--max-n", "5", "--with-even"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("system, code, text", [
         (SetSystem.from_sets(3, [[], [1], [2]]), 0,

@@ -608,11 +608,9 @@ class TestCounts:
         assert gamma_value(1, 3) == 1.0
         assert gamma_value(2, 15) == 1.0
 
-    def test_level6_needs_flag(self, levels5):
+    def test_level7_refused(self, levels5):
         with pytest.raises(ResourceLimitError):
-            count_report(6, levels5)
-        with pytest.raises(ResourceLimitError):
-            count_report(7, levels5, allow_n6=True)
+            count_report(7, levels5)
 
     def test_level6_counted_through_classes(self, levels5, monkeypatch):
         calls = []
@@ -622,7 +620,7 @@ class TestCounts:
             return 10**12
 
         monkeypatch.setattr(levels, "count_next_level_via_classes", counted)
-        reports = count_report(6, levels5, allow_n6=True, threads=2)
+        reports = count_report(6, levels5, threads=2)
         assert reports[-1].d == 10**12
         assert calls == [(5, 2)]
 
