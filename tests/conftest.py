@@ -103,6 +103,41 @@ def oracle_violates(feasible_masks, x: int, y: int, e: int) -> bool:
     )
 
 
+def _xorperm_step(words: np.ndarray, e: int, n: int) -> np.ndarray:
+    """Each word with bit X moved to bit X ^ {e}: one shift-and-mask."""
+    step = words.dtype.type(1 << e)
+    low = words.dtype.type(sum(1 << x for x in range(1 << n) if not x >> e & 1))
+    return ((words & low) << step) | ((words >> step) & low)
+
+
+def batch_is_delta_matroid(words, n: int) -> np.ndarray:
+    """Symmetric exchange decided for an array of feasibility words on
+    n <= 6 elements at once, with word operations only: no minor lemma
+    and none of the package's code.
+
+    xorperm_S(v) has bit X equal to bit X ^ S of v.  For each e and each
+    D containing e, W[e, D] = v & xorperm_D(v) & AND over f in D of
+    ~xorperm_{e,f}(v) (f = e meaning xorperm_{e}) has bit X set exactly
+    when X and Y = X ^ D are feasible and no X ^ {e, f} with f in D is.
+    A word is a delta-matroid iff it is nonzero and every W[e, D] is 0."""
+    v = np.asarray(words, dtype=np.uint64 if n > 5 else np.uint32)
+    xorperm = [v]
+    for s in range(1, 1 << n):
+        # xorperm_S from xorperm of S less its lowest element
+        xorperm.append(_xorperm_step(xorperm[s & (s - 1)], (s & -s).bit_length() - 1, n))
+    violated = np.zeros_like(v)
+    for e in range(n):
+        # blocked[R], for R without e: AND over f in D = R + e of ~xorperm_{e,f}
+        blocked = {0: ~xorperm[1 << e]}
+        for r in range(1, 1 << n):
+            if not r >> e & 1:
+                f = r & -r
+                blocked[r] = blocked[r ^ f] & ~xorperm[(1 << e) | f]
+        for r, b in blocked.items():
+            violated |= v & xorperm[r | 1 << e] & b
+    return (v != 0) & (violated == 0)
+
+
 def oracle_level_list(n: int) -> list[int]:
     """All delta-matroid feasibility vectors on {1..n} by brute force."""
     out = []

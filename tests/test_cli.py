@@ -179,10 +179,12 @@ class TestCount:
     def test_verbose_level6_progress_has_eta(self, count_level4, capsys):
         assert main(["--verbose", "count", "--max-n", "6"]) == 0
         verbose = capsys.readouterr()
-        # the level-store records come first, then the class count's
+        # the level-store records come first, each level's build after its
+        # tables and fill, then the class count's
         lines = verbose.err.splitlines()
         assert all(line.startswith("deltamatroid.levels: ") for line in lines), lines
-        assert all(" systems in " in line for line in lines[:5])
+        assert all(" tables " in line for line in lines[:10:2])
+        assert all(" systems in " in line for line in lines[1:10:2])
         progress = [line for line in lines if ": classes " in line]
         assert [line.split()[4] for line in progress] == ["50/90", "90/90"]
         for line in progress:
@@ -313,11 +315,12 @@ class TestCount:
         verbose = capsys.readouterr()
         assert verbose.out == quiet.out
         lines = verbose.err.splitlines()
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert all(line.startswith("deltamatroid.levels: level ") for line in lines)
         assert f"level 3: cache file rejected, recomputing: {corrupt}: " in lines[2]
-        assert re.search(r"level 3: built 155 systems in \d+\.\d+s$", lines[3])
-        for n, line in zip((1, 2, 4, 5), lines[:2] + lines[4:]):
+        assert re.search(r"level 3: tables \d+\.\d+s, fill \d+\.\d+s$", lines[3])
+        assert re.search(r"level 3: built 155 systems in \d+\.\d+s$", lines[4])
+        for n, line in zip((1, 2, 4, 5), lines[:2] + lines[5:]):
             assert re.search(rf"level {n}: loaded \d+ systems in \d+\.\d+s$", line), line
 
     def test_env_var_overrides_flag(self, tmp_path, monkeypatch, capsys):

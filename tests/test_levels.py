@@ -38,6 +38,7 @@ from deltamatroid.levels import (
 )
 from tests.conftest import (
     antipodal_systems,
+    batch_is_delta_matroid,
     compose,
     full_gather_row,
     minor,
@@ -123,6 +124,28 @@ class TestLevelFive:
         LevelCache(5, kernel.compose_level()).save(path)
         assert packed == [len(kernel.parents)] * 8
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.CACHE_SHA256[5]
+
+    def test_build_peak_bounded(self, levels5):
+        # the output alone is 19 MB; the fill adds one tiled copy of the
+        # parents and one unpacked chunk of rows, not a 2-D select's indices
+        tracemalloc.start()
+        try:
+            built = enumerate_level(levels5[4])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(built.vectors, levels5[5].vectors)
+        assert peak <= 30 << 20
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10_000])
+    def test_levels_do_not_depend_on_the_chunk(self, levels5, monkeypatch, chunk):
+        # level 4 and the improper system are 5 960 parents: 7-row chunks
+        # leave a last one of 3 rows, and one 10 000-row chunk holds them
+        # all, with the parents tiled only as often as there are rows
+        monkeypatch.setattr(levels, "_COMPOSE_CHUNK", chunk)
+        for n in range(1, 6):
+            built = enumerate_level(levels5[n - 1])
+            assert np.array_equal(built.vectors, levels5[n].vectors), n
 
     def test_no_antipodal_pair_listed(self, levels5):
         pairs = [s.bits for s in antipodal_systems(5)]
@@ -269,6 +292,69 @@ class TestFastCheck:
     def test_agrees_with_axiom_on_all_level5_entries(self, levels5):
         for s in levels5[5].systems():
             assert check_symmetric_exchange(s) is None
+
+
+class TestBatchOracle:
+    """The bit-parallel axiom oracle (conftest.batch_is_delta_matroid),
+    which needs no minor lemma, against the checker and the listed levels."""
+
+    @staticmethod
+    def rejected(vectors: np.ndarray) -> int:
+        """How many systems on five elements the oracle rejects, checked
+        2^16 at a time."""
+        chunk = 1 << 16
+        return sum(
+            int(np.count_nonzero(~batch_is_delta_matroid(vectors[i:i + chunk], 5)))
+            for i in range(0, len(vectors), chunk)
+        )
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_agrees_with_checker_on_random_words(self, n):
+        rng = random.Random(20261019 + n)
+        words = [
+            sum(1 << m for m in range(1 << n) if rng.random() < density)
+            for density in (0.1, 0.5, 0.9)
+            for _ in range(300)
+        ]
+        expected = [w != 0 and check_symmetric_exchange(SetSystem(n, w)) is None for w in words]
+        assert 0 < sum(expected) < len(words)
+        assert batch_is_delta_matroid(np.array(words, dtype=np.uint64), n).tolist() == expected
+
+    def test_small_levels_from_all_words(self, levels5):
+        for n in range(1, 5):
+            verdicts = batch_is_delta_matroid(np.arange(1 << (1 << n)), n)
+            assert int(np.count_nonzero(verdicts)) == EXPECTED_D[n]
+            assert np.array_equal(np.flatnonzero(verdicts), levels5[n].vectors), n
+
+    def test_passes_every_level5_system(self, levels5):
+        assert self.rejected(levels5[5].vectors) == 0
+
+    @pytest.mark.parametrize("defect", ["lower minor", "antipodal exclusion"])
+    def test_catches_a_planted_kernel_defect(self, levels5, defect):
+        # the whole-level check fails on a kernel that ignores one lower
+        # minor, or lists the antipodal pairs
+        kernel = _ComposeKernel(levels5[4])
+        if defect == "lower minor":
+            del kernel._lower[next(iter(kernel._lower))]
+        else:
+            kernel._excluded = tuple(side[:1] for side in kernel._excluded)
+        listed = kernel.compose_level()
+        assert len(listed) > len(levels5[5])
+        assert self.rejected(listed) == len(listed) - len(levels5[5])
+
+    @pytest.mark.skipif(
+        not os.environ.get("DM_SLOW_TESTS"),
+        reason="d5 from all 5 960^2 pairs of level-4 halves (~9 s); set DM_SLOW_TESTS=1",
+    )
+    def test_level5_count_from_pairs_of_halves(self, levels5):
+        # a delta-matroid's top-element contraction and deletion are
+        # delta-matroids or improper, so these pairs miss none
+        halves = np.append(0, levels5[4].vectors).astype(np.uint32)
+        count = 0
+        for i in range(0, len(halves), 32):
+            words = (halves[i:i + 32, None] << np.uint32(16)) | halves
+            count += int(np.count_nonzero(batch_is_delta_matroid(words.ravel(), 5)))
+        assert count == EXPECTED_D[5]
 
 
 class TestMinorIndices:
@@ -580,6 +666,16 @@ class TestCacheFiles:
         assert len(healed[4]) == 5959
         assert LevelCache.load(cache_path(tmp_path, 1)).n == 1
         assert LevelCache.load(cache_path(tmp_path, 4)).n == 4
+
+    def test_build_logs_tables_and_fill(self, caplog):
+        with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
+            build_levels(5)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 10
+        for n in range(1, 6):
+            split, built = messages[2 * n - 2:2 * n]
+            assert re.fullmatch(rf"level {n}: tables \d+\.\d{{3}}s, fill \d+\.\d{{3}}s", split)
+            assert built.startswith(f"level {n}: built {EXPECTED_D[n]} systems in ")
 
 
 class TestCounts:
