@@ -14,7 +14,12 @@ single antipodal pair.  Below five elements the criterion is necessary but
 not sufficient, so the axiom checker filters the composites that pass it.
 Both are invariant under twist and relabelling, so the checker decides one
 twist/relabel orbit of them at a time: 95 checks for the 6 239 composites
-that pass it at level 4, where checking every composite took 24 335.
+that pass it at level 4, where checking every composite took 24 335.  The
+orbits come from one sweep (_orbits) over a boolean table of (contraction,
+deletion) index pairs: its row-major order is the ascending order of the
+systems, and an image's cell is read from the indices of its two halves.
+The same sweep over level 5 gives the twist/relabel classes that level 6
+is counted by.
 
 Levels 1..5 are listed whole, from one packed bit table per minor over all
 parents.  Level 6 is counted one row per first component d1 = (a, b), its
@@ -44,7 +49,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -101,10 +106,6 @@ class LevelCache:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def systems(self) -> Iterator[SetSystem]:
-        for v in self.vectors:
-            yield SetSystem(self.n, int(v))
 
     def validate(self) -> None:
         """Check structural invariants."""
@@ -163,18 +164,22 @@ class LevelCache:
 
 # --- the compose kernel ------------------------------------------------------
 
-def _split(vectors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(below, block_len, lo) for ascending systems on n >= 1 elements, the
-    improper one first: the systems one level down (improper first), the
-    number of systems whose contraction by the top element is each of them
-    in turn, and each system's deletion by the top element, as an index
-    into them.
+def _split(
+    vectors: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(below, block_len, lo, pairs) for ascending systems on n >= 1
+    elements: the systems one level down (improper first), the number of
+    systems whose contraction by the top element is each of them in turn,
+    each system's deletion by the top element, as an index into them, and
+    the boolean table ``pairs[r, d]`` over pairs of indices into them that
+    marks the systems, each as its (contraction, deletion).
 
     The contraction is the high half of a vector, so it is non-decreasing
     along the systems, and below is its distinct values: on a complete
     level every system d one level down is the contraction of
     compose(d, improper).  A deletion's index is read from one table over
-    all values of a half (_half_index), not searched for."""
+    all values of a half (_half_index), not searched for.  Read in
+    row-major order, pairs lists the systems in ascending order."""
     half = 1 << (n - 1)
     hi = vectors >> half
     if np.any(hi[1:] < hi[:-1]):
@@ -182,10 +187,14 @@ def _split(vectors: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     starts = np.flatnonzero(np.concatenate([[True], hi[1:] != hi[:-1]]))
     below = hi[starts]
     block_len = np.diff(np.append(starts, len(hi)))
+    # freed before the pair table, which is larger than the level at level 5
+    del hi
     lo = _half_index(below, n)[vectors & ((1 << half) - 1)]
     if np.any(lo == len(below)):
         raise CacheInvariantError("a top-element deletion is not listed")
-    return below, block_len, lo
+    pairs = np.zeros((len(below), len(below)), dtype=bool)
+    pairs[np.repeat(np.arange(len(below), dtype=np.uint16), block_len), lo] = True
+    return below, block_len, lo, pairs
 
 
 def _half_index(below: np.ndarray, n: int) -> np.ndarray:
@@ -210,7 +219,7 @@ def _minor_indices(
     compose(minor of hi, minor of lo).  So the minors come by recursion:
     the minors of the level below, as indices one level further down, and
     one table ``compose[x, y]`` -> index in below (see _compose_table)."""
-    below, block_len, lo = _split(vectors, n)
+    below, block_len, lo, _ = _split(vectors, n)
     hi = np.repeat(np.arange(len(below), dtype=np.uint16), block_len)
     minors = {(n - 1, MinorKind.CONTRACT): hi, (n - 1, MinorKind.DELETE): lo}
     if n == 1:
@@ -315,10 +324,7 @@ class _ComposeKernel:
         self._lower = {}
         if prev.n:
             # one block of parents per system below: their top-element contraction
-            self.below, self._block_len, self._lo = _split(self.parents, prev.n)
-            hi = np.repeat(np.arange(len(self.below), dtype=np.uint16), self._block_len)
-            self.member = np.zeros((len(self.below), len(self.below)), dtype=bool)
-            self.member[hi, self._lo] = True
+            self.below, self._block_len, self._lo, self.member = _split(self.parents, prev.n)
         self._nonparents = (np.zeros(0, dtype=np.intp),) * 2
         if prev.n > 1:
             self._lower, self._compose = _compose_table(self.below, prev.n - 1)
@@ -449,13 +455,17 @@ class _ComposeKernel:
         copy of the parents tiled that many times.  A 2-D boolean select
         of the rows costs about a 2-D ``nonzero``, two to three times the
         flat compress at level 5, and 128 rows keep the fill's temporaries
-        near 2 MB beside the 19 MB output.  The seconds of the tables and
-        of the fill are logged at INFO, such as ``level 5: tables 0.030s,
-        fill 0.060s``.  At child level 6 one such table would hold
-        5 960 x 5 M bits: level 6 is counted row by row.  Below five
-        elements the output is a union of twist/relabel orbits, since the
-        minor criterion is symmetric, and the axiom checker decides each
-        orbit by its minimum.
+        near 2 MB beside the 19 MB output.  At child level 6 one such
+        table would hold 5 960 x 5 M bits: level 6 is counted row by row.
+
+        Below five elements the rows' verdicts are a union of twist/relabel
+        orbits, since the minor criterion is symmetric.  The rows, unpacked,
+        are the child level's table over (contraction, deletion) pairs of
+        parents, so _orbits sweeps a copy of it, the axiom checker decides
+        each orbit by its minimum, and a rejected orbit's cells are cleared
+        before the table is repacked: the fill lists only delta-matroids.
+        The seconds of the tables (with those checks) and of the fill are
+        logged at INFO, such as ``level 5: tables 0.030s, fill 0.060s``.
         """
         if self.child_n > MAX_LISTED_LEVEL:
             raise ResourceLimitError(
@@ -474,6 +484,12 @@ class _ComposeKernel:
         first, second = self._excluded
         # each first component has at most one excluded second component
         packed[first, second >> 3] &= ~np.left_shift(1, second & 7).astype(np.uint8)
+        if self.child_n < _CRITERION_FROM:
+            verdicts = np.unpackbits(packed, axis=1, count=count, bitorder="little").view(bool)
+            for system, cells in _orbits(verdicts.copy(), self.parents, self.child_n):
+                if check_symmetric_exchange(SetSystem(self.child_n, system)) is not None:
+                    verdicts.ravel()[cells] = False
+            packed = np.packbits(verdicts, axis=1, bitorder="little")
         sizes = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
         tables = time.perf_counter()
         dtype = _dtype_for(self.child_n)
@@ -490,12 +506,6 @@ class _ComposeKernel:
             vectors[begin:end] |= np.compress(ok.ravel(), tiled[:ok.size])
         fill = time.perf_counter() - tables
         logger.info("level %d: tables %.3fs, fill %.3fs", self.child_n, tables - began, fill)
-        if self.child_n < _CRITERION_FROM:
-            n = self.child_n
-            keep = np.zeros(len(vectors), dtype=bool)
-            for i, members in _orbits(vectors, n):
-                keep[members] = check_symmetric_exchange(SetSystem(n, int(vectors[i]))) is None
-            vectors = vectors[keep]
         return vectors
 
 
@@ -591,9 +601,6 @@ def count_even(cache: LevelCache) -> int:
 # constant on classes, so one exhaustive scan per class representative
 # suffices to count the next level.
 
-_SWEEP_WINDOW = 1024
-
-
 def _symmetries(n: int) -> np.ndarray:
     """One row per (relabelling sigma, twist t) of {1..n}: column m holds
     sigma(m) ^ t, the mask that subset m goes to.  n! * 2^n rows."""
@@ -605,90 +612,57 @@ def _symmetries(n: int) -> np.ndarray:
     return (relabel[:, None, :] ^ masks[None, :, None]).reshape(-1, 1 << n)
 
 
-def _indexer(vals: np.ndarray, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The lookup from systems on n >= 1 elements to their indices in vals,
-    which are ascending: it raises CacheInvariantError if one is not there.
+def _orbits(
+    pairs: np.ndarray, below: np.ndarray, n: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(system, cells) per twist/relabel orbit of the systems on n >= 1
+    elements that ``pairs`` marks, in ascending order of the orbit minima:
+    the minimum, and the cells of every member in the flattened table,
+    ascending.  ``pairs[r, d]`` marks compose(below[r], below[d]), as
+    _split builds it, and the sweep clears each orbit's cells.
 
-    A system is the pair (r, d) of its top-element contraction and
-    deletion, and vals is ascending in that pair (_split).  One table gives
-    each half its index among the contractions, or len(below) if it is not
-    one, and the pairs in vals are one bit row per contraction, over the
-    deletions, with a spare row and column that stay clear.  Laid end to
-    end, the rows make a system's index the count of the set bits before
-    its own: a prefix count per 64-bit word and one popcount, with no
-    search of vals."""
-    try:
-        below, block_len, lo = _split(vals, n)
-    except CacheInvariantError as exc:
-        raise CacheInvariantError(f"cache not closed under twist/relabel: {exc}") from None
-    half, count = 1 << (n - 1), len(below)
-    where = _half_index(below, n).astype(np.uint64)
-    width = ((count >> 6) + 1) * 64
-    packed = np.zeros((count + 1, width >> 3), dtype=np.uint8)
-    ends = np.cumsum(block_len)
-    # one chunk of contractions at a time, not one bool table of them all
-    for r in range(0, count, _COMPOSE_CHUNK):
-        block = np.zeros((min(_COMPOSE_CHUNK, count - r), width), dtype=bool)
-        members = slice(ends[r] - block_len[r], ends[r + len(block) - 1])
-        block[np.repeat(np.arange(len(block)), block_len[r:r + len(block)]), lo[members]] = True
-        packed[r:r + len(block)] = np.packbits(block, axis=1, bitorder="little")
-    words = packed.view("<u8").ravel()
-    ones = np.bitwise_count(words)
-    # the set bits before each word, less the one a system's own bit adds
-    before = np.cumsum(ones, dtype=np.int64) - ones - 1
-
-    def index(systems: np.ndarray) -> np.ndarray:
-        at = where[systems >> half] * width + where[systems & ((1 << half) - 1)]
-        word = at >> 6
-        # each system's word, shifted to end at its own bit (~at & 63 is
-        # 63 minus the bit's place)
-        head = words[word] << (~at & 63)
-        if not (head >> 63).all():
-            raise CacheInvariantError(
-                "cache not closed under twist/relabel: an image is not listed"
-            )
-        return before[word] + np.bitwise_count(head)
-
-    return index
-
-
-def _orbits(vals: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(i, members) per twist/relabel orbit of ascending systems on n >= 1
-    elements, in ascending order of the orbit minima: the index of the
-    minimum and the indices of every member, ascending.
-
-    The sweep visits the systems in ascending order.  The first one not
-    yet seen is the minimum of its orbit, since every other member is
-    also unseen and so comes later; its whole orbit is the images under
-    every symmetry, and is marked seen.  The next unseen system is found
-    by argmin over a window of the seen flags at a time.  The images are
-    deduplicated by a sort and an adjacent-difference mask (np.unique
-    would import numpy.ma, which nothing else on the count path needs),
-    and found in vals by _indexer."""
+    Row-major order is the ascending order of the systems, so the first
+    cell still marked is the minimum of its orbit: every other member is
+    also marked and so comes later.  Its whole orbit is the images under
+    every symmetry, deduplicated by a sort and an adjacent-difference mask
+    (np.unique would import numpy.ma, which nothing else on the count path
+    needs), and each image's cell is read from the indices of its two
+    halves (_half_index).  Orbits are disjoint, so the marked systems are
+    closed under twist and relabelling iff every image's cell is still
+    marked when its orbit is swept."""
     group = _symmetries(n)
-    index = _indexer(vals, n)
-    seen = np.zeros(len(vals), dtype=bool)
-    for start in range(0, len(vals), _SWEEP_WINDOW):
-        window = seen[start:start + _SWEEP_WINDOW]
-        while not window[k := int(window.argmin())]:
-            i = start + k
-            bits = np.unpackbits(vals[i:i + 1].view(np.uint8), bitorder="little")
-            images = np.packbits(bits[group], axis=1, bitorder="little").view(vals.dtype)
+    dtype = _dtype_for(n)
+    half, width = 1 << (n - 1), len(below)
+    index = _half_index(below, n)
+    flat = pairs.ravel()
+    for r in range(width):
+        row = flat[r * width:(r + 1) * width]
+        while row[k := int(row.argmax())]:
+            system = int(below[r]) << half | int(below[k])
+            bits = np.unpackbits(np.array([system], dtype=dtype).view(np.uint8), bitorder="little")
+            images = np.packbits(bits[group], axis=1, bitorder="little").view(dtype)
             images = np.sort(images.ravel())
-            j = index(images[np.append(True, images[1:] != images[:-1])])
-            seen[j] = True
-            yield i, j
+            images = images[np.append(True, images[1:] != images[:-1])]
+            hi, lo = index[images >> half], index[images & ((1 << half) - 1)]
+            cells = hi.astype(np.intp) * width + lo
+            if max(hi.max(), lo.max()) == width or not flat[cells].all():
+                raise CacheInvariantError(
+                    "cache not closed under twist/relabel: an image is not listed"
+                )
+            flat[cells] = False
+            yield system, cells
 
 
 def twist_permutation_classes(cache: LevelCache) -> tuple[np.ndarray, np.ndarray]:
     """(representatives, class sizes); representatives are orbit minima,
-    ascending (see _orbits)."""
-    vals = cache.vectors
+    ascending, from one sweep (_orbits) over the level's table of
+    (contraction, deletion) pairs (_split)."""
+    below, _, _, pairs = _split(cache.vectors, cache.n)
     reps, sizes = [], []
-    for i, members in _orbits(vals, cache.n):
-        reps.append(vals[i])
-        sizes.append(len(members))
-    return np.array(reps, dtype=vals.dtype), np.array(sizes, dtype=np.int64)
+    for system, cells in _orbits(pairs, below, cache.n):
+        reps.append(system)
+        sizes.append(len(cells))
+    return np.array(reps, dtype=cache.vectors.dtype), np.array(sizes, dtype=np.int64)
 
 
 _CLASS_ORDER_SEED = 0
@@ -697,19 +671,19 @@ _CLASS_ORDER_SEED = 0
 def count_next_level_via_classes(prev: LevelCache, threads: int = 1) -> int:
     """Count the next level without listing it.
 
-    The classes come from one sweep over the previous level (_orbits),
-    which finds each orbit's members by lookups of their halves
-    (_indexer).  One compatibility row is counted per equivalence class
-    representative (``row_count``: the bit count of its grid over the
-    admitted halves) and weighted by class size; the improper first
-    component contributes one full previous level.  Requires child level
-    5 or 6.  The
-    rows run in a pool of ``threads`` threads (the kernel's numpy gathers
-    release the GIL).  Each phase is logged at INFO with its seconds: the
-    canonicalization (with the class count), the kernel init and the rows.
-    In between, every 50th row and the last are logged at INFO, in row
-    order, with the seconds since the count began and the time left at
-    the rate since the first row, such as
+    The classes come from one sweep over the previous level's table of
+    (contraction, deletion) pairs (_orbits), which finds each orbit's
+    members from the indices of their halves.  One compatibility row is
+    counted per equivalence class representative (``row_count``: the bit
+    count of its grid over the admitted halves) and weighted by class
+    size; the improper first component contributes one full previous
+    level.  Requires child level 5 or 6.  The rows run in a pool of
+    ``threads`` threads (the kernel's numpy gathers release the GIL).
+    Each phase is logged at INFO with its seconds: the canonicalization
+    (with the class count), the kernel init and the rows.  In between,
+    every 50th row and the last are logged at INFO, in row order, with the
+    seconds since the count began and the time left at the rate since the
+    first row, such as
     ``level 6: classes 50/2902 2.0s eta 7s``.
 
     Rows cost more the more second components a class admits, and that

@@ -192,15 +192,13 @@ def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
         flip = 1 << q
         for m in feas:
             near[m ^ flip] |= flip
-    cube = tern = None
+    cube, tern = _subcube_or(n, bits), _ternary(n)
     for x in feas:
         blocked = full & ~near[x]
         rest = blocked
         while rest:
             flip = rest & -rest
             rest ^= flip
-            if cube is None:
-                cube, tern = _subcube_or(n, bits), _ternary(n)
             # X is feasible, so p is in near[X ^ {p}]: fixed = partners + p
             fixed = near[x ^ flip]
             c = tern[(x ^ flip) & fixed] + 2 * tern[full ^ fixed]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -188,6 +189,12 @@ def antipodal_systems(n: int) -> list[SetSystem]:
 
 # --- set-system operations only the tests use ---------------------------------
 
+def cache_systems(cache: LevelCache) -> Iterator[SetSystem]:
+    """Every system of a level cache, ascending."""
+    for v in cache.vectors:
+        yield SetSystem(cache.n, int(v))
+
+
 def dual(s: SetSystem) -> SetSystem:
     return twist(s, (1 << s.n) - 1)
 
@@ -328,8 +335,9 @@ def row_loop_level(prev: LevelCache) -> LevelCache:
 # --- twist/relabel class oracle ----------------------------------------------
 
 def searchsorted_orbits(vals: np.ndarray, n: int):
-    """(i, members) per twist/relabel orbit of ascending systems, as
-    levels._orbits yields them, with each orbit found in vals by
+    """(i, members) per twist/relabel orbit of ascending systems: the
+    index in vals of the orbit minimum and of every member, ascending, in
+    the order levels._orbits sweeps them, with each orbit found in vals by
     np.searchsorted over the whole of vals and deduplicated as a Python
     set."""
     group = _symmetries(n)

@@ -37,6 +37,7 @@ from deltamatroid.encoding import (
     upper_bound_report,
 )
 from tests.conftest import (
+    cache_systems,
     cover_certifies,
     distance_two_matrix_identity,
     kw_encode,
@@ -233,7 +234,7 @@ def test_ac09_encoder_round_trip(levels4):
     systems = 0
     covers_checked = 0
     for n in (2, 3, 4):
-        for s in levels4[n].systems():
+        for s in cache_systems(levels4[n]):
             if not is_even(s):
                 continue
             systems += 1

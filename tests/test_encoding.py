@@ -57,6 +57,7 @@ from deltamatroid.encoding import (
 from tests.conftest import (
     RECORD_TAMPERS,
     block_of,
+    cache_systems,
     cover_certifies,
     cube_adjacency_matrix,
     cube_distances,
@@ -379,7 +380,7 @@ class TestRecords:
 
     def test_round_trip_exhaustive_small(self, levels4):
         for n in (2, 3, 4):
-            for s in levels4[n].systems():
+            for s in cache_systems(levels4[n]):
                 if not is_even(s):
                     continue
                 record = encode_even_system(s)

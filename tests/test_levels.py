@@ -39,6 +39,7 @@ from deltamatroid.levels import (
 from tests.conftest import (
     antipodal_systems,
     batch_is_delta_matroid,
+    cache_systems,
     compose,
     full_gather_row,
     minor,
@@ -148,8 +149,11 @@ class TestLevelFive:
             assert np.array_equal(built.vectors, levels5[n].vectors), n
 
     def test_no_antipodal_pair_listed(self, levels5):
-        pairs = [s.bits for s in antipodal_systems(5)]
-        assert not np.isin(np.array(pairs, dtype=np.uint32), levels5[5].vectors).any()
+        v = levels5[5].vectors
+        pairs = np.array([s.bits for s in antipodal_systems(5)], dtype=v.dtype)
+        # the level is ascending: each pair's insertion point holds another system
+        at = np.minimum(np.searchsorted(v, pairs), len(v) - 1)
+        assert not np.any(v[at] == pairs)
 
 
 def composite_candidates(prev: LevelCache) -> np.ndarray:
@@ -193,11 +197,24 @@ class TestOrbitDecidedLevels:
             ]
             assert expected.tolist() == oracle
 
+    def test_level_four_splits_no_composite(self, levels5, monkeypatch):
+        # the orbit sweep walks compose_level's own table over pairs of
+        # parents, so the 6 239 composites are not split into halves again
+        split, calls = levels._split, []
+
+        def recording(vectors, n):
+            calls.append((n, len(vectors)))
+            return split(vectors, n)
+
+        monkeypatch.setattr(levels, "_split", recording)
+        assert np.array_equal(enumerate_level(levels5[3]).vectors, levels5[4].vectors)
+        assert calls and all(n < 4 for n, _ in calls), calls
+
     @pytest.mark.parametrize("n, candidates", [(3, False), (4, False), (4, True)])
     def test_orbits_partition(self, levels5, n, candidates):
         vals = composite_candidates(levels5[n - 1]) if candidates else levels5[n].vectors
         firsts, covered = [], np.zeros(len(vals), dtype=np.int64)
-        for i, members in levels._orbits(vals, n):
+        for i, members in swept_orbits(vals, n):
             assert members[0] == i and np.all(members[1:] > members[:-1])
             firsts.append(i)
             covered[members] += 1
@@ -209,7 +226,7 @@ class TestOrbitDecidedLevels:
     )
     def test_orbits_match_searchsorted(self, levels5, n, candidates):
         vals = composite_candidates(levels5[n - 1]) if candidates else levels5[n].vectors
-        got = [(i, members.tolist()) for i, members in levels._orbits(vals, n)]
+        got = [(i, members.tolist()) for i, members in swept_orbits(vals, n)]
         assert got == [(i, members.tolist()) for i, members in searchsorted_orbits(vals, n)]
 
     def test_orbit_lookup_refuses_an_unlisted_half(self, levels5):
@@ -221,10 +238,10 @@ class TestOrbitDecidedLevels:
         kept = v[(hi != 1 << 7) & (lo != 1 << 7)]
         assert 1 << 7 not in kept and 1 in kept
         with pytest.raises(CacheInvariantError, match="not closed.*image is not listed"):
-            list(levels._orbits(kept, 4))
-        # kept as a deletion only, it is refused before any lookup
-        with pytest.raises(CacheInvariantError, match="not closed.*deletion is not listed"):
-            list(levels._orbits(v[hi != 1 << 7], 4))
+            list(swept_orbits(kept, 4))
+        # kept as a deletion only, it is refused before any table is built
+        with pytest.raises(CacheInvariantError, match="deletion is not listed"):
+            list(swept_orbits(v[hi != 1 << 7], 4))
 
     def test_orbit_lookup_refuses_an_unlisted_pair(self, levels5):
         # 1 << 15 is the single-set system {1234}: its halves {123} and the
@@ -233,7 +250,20 @@ class TestOrbitDecidedLevels:
         kept = v[v != 1 << 15]
         assert 1 << 7 in kept >> 8 and 0 in kept & 255
         with pytest.raises(CacheInvariantError, match="not closed.*image is not listed"):
-            list(levels._orbits(kept, 4))
+            list(swept_orbits(kept, 4))
+
+
+def swept_orbits(vals: np.ndarray, n: int):
+    """(i, members) per orbit of levels._orbits over the pair table of
+    the ascending systems vals, with each cell turned into its index in
+    vals: the rank of its system in row-major order."""
+    below, _, _, pairs = levels._split(vals, n)
+    rank = np.cumsum(pairs.ravel()) - 1
+    for system, cells in levels._orbits(pairs, below, n):
+        assert system == vals[rank[cells[0]]]
+        yield int(rank[cells[0]]), rank[cells]
+    # a whole sweep clears every cell
+    assert not pairs.any()
 
 
 class TestFastCheck:
@@ -290,7 +320,7 @@ class TestFastCheck:
         reason="exhaustive level-5 cross-validation (minutes); set DM_SLOW_TESTS=1",
     )
     def test_agrees_with_axiom_on_all_level5_entries(self, levels5):
-        for s in levels5[5].systems():
+        for s in cache_systems(levels5[5]):
             assert check_symmetric_exchange(s) is None
 
 
