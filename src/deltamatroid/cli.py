@@ -28,15 +28,11 @@ class UsageError(Exception):
     """A command-line value outside its allowed range."""
 
 
-def _resolve_cache_dir(flag_value: str | None) -> str | None:
-    return os.environ.get("DM_CACHE_DIR") or flag_value
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        setsystem.atomic_write_text(out_path, text)
+        setsystem.atomic_write_bytes(out_path, text.encode("utf-8"))
 
 
 def _report(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
@@ -95,7 +91,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     levels.check_count_limits(args.max_n)
     store = levels.build_levels(
         min(args.max_n, levels.MAX_LISTED_LEVEL),
-        cache_dir=_resolve_cache_dir(args.cache_dir),
+        cache_dir=os.environ.get("DM_CACHE_DIR") or args.cache_dir,
     )
     reports = levels.count_report(
         args.max_n, store, with_even=args.with_even, threads=args.threads

@@ -213,10 +213,6 @@ class Partition:
         return sorted(sorted(b) for b in self.blocks)
 
 
-def single_block_partition(n: int) -> Partition:
-    return Partition(n, (frozenset(range(n + 1)),))
-
-
 def _lowest_mask(d: SetSystem) -> int:
     """The smallest feasible mask, without listing the feasible sets."""
     return (d.bits & -d.bits).bit_length() - 1
@@ -228,9 +224,10 @@ def local_cover(d: SetSystem, x: int) -> Partition:
 
     The twist D*X is even with no empty set, so its minimum feasible sets
     have size 2 exactly when some distance-2 neighbour X ^ {a, b} is
-    feasible.  If none is, the partition is a single block.  Otherwise
-    those pairs {a, b} are the bases of a rank-2 matroid; the blocks are
-    its parallel classes, with loops and z merged into one block.
+    feasible.  Those pairs {a, b} are the bases of a rank-2 matroid; the
+    blocks are its parallel classes, with loops and z merged into one
+    block.  With no such pair every element is a loop, so the partition
+    is that one block.
     """
     if not is_even(d):
         raise EncodingError("local covers require an even delta-matroid")
@@ -242,8 +239,6 @@ def local_cover(d: SetSystem, x: int) -> Partition:
         raise EncodingError(f"target set {x} is feasible")
     feasible = _feasibility_bytes(d)
     bases = {pair for pair in _pair_masks(d.n) if feasible[x ^ pair]}
-    if not bases:
-        return single_block_partition(d.n)
     bits = {e: 1 << (e - 1) for e in range(1, d.n + 1)}
     non_loops = [e for e in bits if any(basis & bits[e] for basis in bases)]
     # e's block: the non-loops f with {e, f} not a basis, e itself included

@@ -100,10 +100,6 @@ class LevelCache:
     MAGIC = b"DMLC"
     VERSION = 1
 
-    @classmethod
-    def level_zero(cls) -> LevelCache:
-        return cls(0, np.array([1], dtype=_dtype_for(0)))
-
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -307,10 +303,12 @@ class _ComposeKernel:
 
     From five elements on, a proper system whose minors are all parents is
     a delta-matroid unless its feasible family is a single antipodal pair
-    (``_excluded_pairs``).  Below five elements that test is necessary but
-    not sufficient, so compose_level filters its survivors through the
-    axiom checker, one call per twist/relabel orbit of them (123 calls over
-    child levels 1..4), and the rows refuse.
+    (``_excluded_pairs``).  Those pairs are read off the order of the
+    single-set parents, all of which a level must list: init raises
+    CacheInvariantError when one is missing.  Below five elements that
+    test is necessary but not sufficient, so compose_level filters its
+    survivors through the axiom checker, one call per twist/relabel orbit
+    of them (123 calls over child levels 1..4), and the rows refuse.
     """
 
     def __init__(self, prev: LevelCache):
@@ -345,18 +343,20 @@ class _ComposeKernel:
     def _excluded_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, second) parent indices of the pairs every row excludes:
         improper with improper and, from five elements on, each single-set
-        first component {A} with the second component {complement of
-        A + top}.  Antipodal pairs are delta-matroids at two elements."""
-        first, second = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        first component {A} with the second component {complement of A},
+        the antipodal pair {A + top, complement}.  Antipodal pairs are
+        delta-matroids at two elements.
+
+        Every single-set system is a delta-matroid, so all 2^(child_n - 1)
+        of them are parents, ascending in A, and A -> complement of A
+        reverses that order: the i-th single-set parent pairs with the i-th
+        from the end.  A level that lacks one raises CacheInvariantError."""
         if self.child_n < _CRITERION_FROM:
-            return first, second
-        parents = self.parents
-        single = np.flatnonzero((parents != 0) & ((parents & (parents - 1)) == 0))
-        a = np.log2(parents[single]).astype(np.int64)
-        partner = np.left_shift(1, a ^ ((1 << (self.child_n - 1)) - 1)).astype(parents.dtype)
-        j = np.minimum(np.searchsorted(parents, partner), len(parents) - 1)
-        found = parents[j] == partner
-        return np.append(first, single[found]), np.append(second, j[found])
+            return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        single = np.flatnonzero(np.bitwise_count(self.parents) == 1)
+        if len(single) != 1 << (self.child_n - 1):
+            raise CacheInvariantError("a single-set system is not listed")
+        return np.append(0, single), np.append(0, single[::-1])
 
     def _halves(self, parents):
         """The (a, b) of a parent, or of an array of parents, as indices
@@ -742,7 +742,7 @@ def build_levels(
     """
     if n_max > MAX_LISTED_LEVEL:
         raise ResourceLimitError(f"level lists stop at {MAX_LISTED_LEVEL}")
-    levels: dict[int, LevelCache] = {0: LevelCache.level_zero()}
+    levels = {0: LevelCache(0, np.array([1], dtype=_dtype_for(0)))}
     for n in range(1, n_max + 1):
         cache = None
         start = time.perf_counter()

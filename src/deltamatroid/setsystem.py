@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, TypeVar
 
+import numpy as np
+
 MAX_GROUND_SIZE = 16
 
 T = TypeVar("T")
@@ -36,9 +38,10 @@ class MinorKind(Enum):
 
 
 def bit_positions(x: int) -> list[int]:
-    """The positions of the set bits of x, ascending, read from one binary
-    string, so the cost is linear in the bit length of x."""
-    return [p for p, b in enumerate(bin(x)[:1:-1]) if b == "1"]
+    """The positions of the set bits of x, ascending, read from its bytes
+    in one unpack, so the interpreter takes no step per bit."""
+    raw = np.frombuffer(x.to_bytes((x.bit_length() + 7) >> 3, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -226,17 +229,6 @@ def is_delta_matroid(s: SetSystem) -> bool:
 
 
 @functools.cache
-def even_parity_indicator(n: int) -> int:
-    """Integer whose bit m is set iff mask m has even popcount."""
-    ind = 1
-    for k in range(n):
-        width = 1 << k
-        odd = ind ^ ((1 << width) - 1)
-        ind |= odd << width
-    return ind
-
-
-@functools.cache
 def rank_indicator(n: int, r: int) -> int:
     """Integer whose bit m is set iff mask m has exactly r elements: the
     masks without element n hold the r-sets on n - 1 elements, and those
@@ -247,6 +239,13 @@ def rank_indicator(n: int, r: int) -> int:
         return 1
     half = 1 << (n - 1)
     return rank_indicator(n - 1, r) | rank_indicator(n - 1, r - 1) << half
+
+
+@functools.cache
+def even_parity_indicator(n: int) -> int:
+    """Integer whose bit m is set iff mask m has even popcount: the sum of
+    the disjoint rank indicators of the even ranks r."""
+    return sum(rank_indicator(n, r) for r in range(0, n + 1, 2))
 
 
 def is_even(s: SetSystem) -> bool:
@@ -345,10 +344,6 @@ def loads_system(text: str) -> SetSystem:
 
 def load_system(path: str | os.PathLike) -> SetSystem:
     return read_document(path, system_from_dict)
-
-
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_write_bytes(path: str | os.PathLike, *chunks) -> None:

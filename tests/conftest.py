@@ -271,6 +271,10 @@ def cut_bound_certifies(n: int, eps: Fraction | float | str) -> bool:
     return cut_count_lower_bound_exact(n) >= target
 
 
+def single_block_partition(n: int) -> Partition:
+    return Partition(n, (frozenset(range(n + 1)),))
+
+
 def block_of(p: Partition, element: int) -> frozenset[int]:
     for block in p.blocks:
         if element in block:

@@ -301,6 +301,20 @@ class TestCount:
         assert captured.out == ""
         assert captured.err == "error: a top-element deletion is not listed\n"
 
+    def test_cache_without_a_single_set_system(self, tmp_path, capsys):
+        # a level-4 file without the system {mask 5} is a valid file, but
+        # the antipodal pairs of level 5 are read off its single-set systems
+        assert main(["count", "--max-n", "4"]) == 0
+        capsys.readouterr()
+        path = cache_path(tmp_path / "cache", 4)
+        v = levels.LevelCache.load(path).vectors
+        levels.LevelCache(4, v[v != 1 << 5]).save(path)
+        assert main(["count", "--max-n", "5", "--with-even"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a single-set system is not listed\n"
+        assert not os.path.exists(cache_path(tmp_path / "cache", 5))
+
     def test_verbose_logs_level_store_to_stderr_only(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("DM_CACHE_DIR")
         cache_dir = tmp_path / "flag-cache"

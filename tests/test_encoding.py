@@ -50,7 +50,6 @@ from deltamatroid.encoding import (
     local_cover,
     reconstruct_system,
     s_length_bound,
-    single_block_partition,
     smallest_eigenvalue,
     upper_bound_report,
 )
@@ -64,6 +63,7 @@ from tests.conftest import (
     distance_two_matrix_identity,
     kw_encode,
     list_scan_peel,
+    single_block_partition,
     tamper_record,
 )
 

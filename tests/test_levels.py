@@ -595,6 +595,14 @@ class TestAntipodal:
         for s in antipodal_systems(5):
             assert check_symmetric_exchange(s) is not None
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_level_without_a_single_set_system_refused(self, levels5, n):
+        # the antipodal pairs are read off the order of the single-set
+        # parents, so a level that lacks one is refused, not composed
+        v = levels5[n].vectors
+        with pytest.raises(CacheInvariantError, match="single-set"):
+            _ComposeKernel(LevelCache(n, v[v != 1 << 5]))
+
     def test_small_antipodal_are_delta_matroids(self):
         # pairs at distance <= 2 satisfy the axiom; from three elements on
         # the single-flip targets are all missing
@@ -769,6 +777,9 @@ class TestCounts:
     def test_parity_indicator(self):
         assert even_parity_indicator(2) == 0b1001
         assert even_parity_indicator(3) == 0b01101001
+        for n in range(13):
+            brute = sum(1 << m for m in range(1 << n) if m.bit_count() % 2 == 0)
+            assert even_parity_indicator(n) == brute, n
 
 
 class TestClassCounting:
