@@ -4,8 +4,8 @@ Subcommands: check, count, construct, encode, decode, roundtrip,
 spectrum, bound.  Exit codes: 0 success/pass, 1 property
 violation, 2 usage, format or I/O error (a level cache that is not a
 complete level included), 3 resource limit.  Output is
-deterministic for a fixed invocation; the DM_CACHE_DIR environment
-variable overrides any --cache-dir setting.
+deterministic for a fixed invocation.  The level caches are read and
+written only under --cache-dir, when it is given.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 
 from . import constructions, encoding, levels, setsystem
@@ -44,13 +43,9 @@ def _report(args: argparse.Namespace, doc: dict, lines: list[str]) -> None:
 
 
 def _check_limits(args: argparse.Namespace) -> None:
-    """Refuse out-of-range ground-set sizes and thread counts before any work."""
-    limits = {
-        "max_n": setsystem.MAX_GROUND_SIZE,
-        "n": setsystem.MAX_GROUND_SIZE,
-        "threads": os.cpu_count() or 1,
-    }
-    for name, high in limits.items():
+    """Refuse out-of-range ground-set sizes before any work."""
+    high = setsystem.MAX_GROUND_SIZE
+    for name in ("max_n", "n"):
         value = getattr(args, name, None)
         if value is not None and not 1 <= value <= high:
             flag = "--" + name.replace("_", "-")
@@ -89,13 +84,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_count(args: argparse.Namespace) -> int:
     levels.check_count_limits(args.max_n)
-    store = levels.build_levels(
-        min(args.max_n, levels.MAX_LISTED_LEVEL),
-        cache_dir=os.environ.get("DM_CACHE_DIR") or args.cache_dir,
-    )
-    reports = levels.count_report(
-        args.max_n, store, with_even=args.with_even, threads=args.threads
-    )
+    store = levels.build_levels(min(args.max_n, levels.MAX_LISTED_LEVEL), args.cache_dir)
+    reports = levels.count_report(args.max_n, store, with_even=args.with_even)
     doc = {
         "levels": [
             {"n": r.n, "d": r.d, "gamma": r.gamma}
@@ -213,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--cache-dir", default=None, help="level cache directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="threads for the level-6 class count (1..CPU count)")
     parser.add_argument("--verbose", action="store_true",
                         help="progress and peeling statistics on stderr")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -559,14 +559,13 @@ def count_report(
     n_max: int,
     levels: dict[int, LevelCache],
     with_even: bool = False,
-    threads: int = 1,
 ) -> list[CountReport]:
     """Exact counts and gamma statistics for levels 1..n_max.
 
     ``levels`` must hold caches for 1..min(n_max, 5).  Level 6 is counted,
     not listed, so its report has no e: count_next_level_via_classes counts
-    it from level 5 in seconds, on ``threads`` threads, and logs its
-    progress.
+    it from level 5 in seconds, on a thread per CPU the process may run
+    on, and logs its progress.
     """
     check_count_limits(n_max)
     reports = []
@@ -575,7 +574,7 @@ def count_report(
             d = len(levels[n])
             e = count_even(levels[n]) if with_even else None
         else:
-            d = count_next_level_via_classes(levels[5], threads=threads)
+            d = count_next_level_via_classes(levels[5])
             e = None
         reports.append(CountReport(n=n, d=d, gamma=gamma_value(n, d), e=e))
     _verify_count_invariants(reports)
@@ -668,7 +667,7 @@ def twist_permutation_classes(cache: LevelCache) -> tuple[np.ndarray, np.ndarray
 _CLASS_ORDER_SEED = 0
 
 
-def count_next_level_via_classes(prev: LevelCache, threads: int = 1) -> int:
+def count_next_level_via_classes(prev: LevelCache) -> int:
     """Count the next level without listing it.
 
     The classes come from one sweep over the previous level's table of
@@ -677,10 +676,11 @@ def count_next_level_via_classes(prev: LevelCache, threads: int = 1) -> int:
     counted per equivalence class representative (``row_count``: the bit
     count of its grid over the admitted halves) and weighted by class
     size; the improper first component contributes one full previous
-    level.  Requires child level 5 or 6.  The rows run in a pool of
-    ``threads`` threads (the kernel's numpy gathers release the GIL).
-    Each phase is logged at INFO with its seconds: the canonicalization
-    (with the class count), the kernel init and the rows.  In between,
+    level.  Requires child level 5 or 6.  The rows run in a pool of one
+    thread per CPU the process may run on (the kernel's numpy gathers
+    release the GIL), so ``taskset`` limits it.  Each phase is logged at
+    INFO with its seconds: the canonicalization (with the class count),
+    the kernel init and the rows (with the thread count).  In between,
     every 50th row and the last are logged at INFO, in row order, with the
     seconds since the count began and the time left at the rate since the
     first row, such as
@@ -707,6 +707,8 @@ def count_next_level_via_classes(prev: LevelCache, threads: int = 1) -> int:
 
     indices = random.Random(_CLASS_ORDER_SEED).sample(range(len(reps)), len(reps))
     total = len(prev)
+    affinity = getattr(os, "sched_getaffinity", None)
+    threads = len(affinity(0)) if affinity else os.cpu_count() or 1
     start = first_row = clock()
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         for done, subtotal in enumerate(pool.map(row, indices), start=1):
@@ -720,7 +722,10 @@ def count_next_level_via_classes(prev: LevelCache, threads: int = 1) -> int:
                     "level %d: classes %d/%d %.1fs eta %.0fs",
                     child_n, done, len(reps), now - began, eta,
                 )
-    logger.info("level %d: %d class rows in %.3fs", child_n, len(reps), clock() - start)
+    logger.info(
+        "level %d: %d class rows in %.3fs (threads: %d)",
+        child_n, len(reps), clock() - start, threads,
+    )
     return total
 
 

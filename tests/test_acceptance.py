@@ -76,13 +76,12 @@ def popcount(x: int) -> int:
     return bin(x).count("1")
 
 
-def test_ac01_exact_counts(tmp_path, capfd, monkeypatch):
+def test_ac01_exact_counts(tmp_path, capfd):
     # drive the real command against a cold cache directory
     from deltamatroid.cli import main
 
-    monkeypatch.setenv("DM_CACHE_DIR", str(tmp_path))
     start = time.monotonic()
-    code = main(["--format", "json", "count", "--max-n", "5"])
+    code = main(["--cache-dir", str(tmp_path), "--format", "json", "count", "--max-n", "5"])
     elapsed = time.monotonic() - start
     doc = json.loads(capfd.readouterr().out)
     counts = {row["n"]: row["d"] for row in doc["levels"]}

@@ -65,8 +65,7 @@ def test_level6_sample_calls(levels5):
     assert kernel.row_ok(row).shape == kernel.parents.shape
 
 
-def test_cli_main(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("DM_CACHE_DIR", raising=False)
+def test_cli_main(tmp_path, capsys):
     args = ["--cache-dir", str(tmp_path), "--format", "json", "count", "--max-n", "3"]
     assert cli.main(args) == 0
     assert '"d": 155' in capsys.readouterr().out

@@ -29,12 +29,6 @@ from tests.conftest import RECORD_TAMPERS, tamper_record
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("DM_CACHE_DIR", str(tmp_path / "cache"))
-    return tmp_path
-
-
 def write_system(path, system: SetSystem) -> str:
     path.write_text(dumps_system(system))
     return str(path)
@@ -147,7 +141,7 @@ class TestCount:
             raise AssertionError("level-6 class count started")
 
         monkeypatch.setattr(levels, "count_next_level_via_classes", class_count)
-        assert main(["count", *argv]) == 3
+        assert main(["--cache-dir", str(tmp_path / "cache"), "count", *argv]) == 3
         assert "resource limit" in capsys.readouterr().err
         assert not (tmp_path / "cache").exists()
 
@@ -158,8 +152,8 @@ class TestCount:
         class_count = levels.count_next_level_via_classes
         level4 = levels.build_levels(4)[4]
 
-        def counted(prev, threads=1):
-            class_count(level4, threads=threads)
+        def counted(prev):
+            class_count(level4)
             return 10**12
 
         monkeypatch.setattr(levels, "count_next_level_via_classes", counted)
@@ -176,8 +170,9 @@ class TestCount:
         assert main(["count", "--max-n", "6"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].split()[:2] == ["6", "2746801811279"]
 
-    def test_verbose_level6_progress_has_eta(self, count_level4, capsys):
-        assert main(["--verbose", "count", "--max-n", "6"]) == 0
+    def test_verbose_level6_progress_has_eta(self, count_level4, tmp_path, capsys):
+        argv = ["--cache-dir", str(tmp_path / "cache"), "count", "--max-n", "6"]
+        assert main(["--verbose", *argv]) == 0
         verbose = capsys.readouterr()
         # the level-store records come first, each level's build after its
         # tables and fill, then the class count's
@@ -192,19 +187,20 @@ class TestCount:
                 r"deltamatroid\.levels: level 5: classes \d+/90 \d+\.\ds eta \d+s", line
             ), line
         assert progress[-1].endswith(" eta 0s")
-        assert main(["count", "--max-n", "6"]) == 0
+        assert main(argv) == 0
         quiet = capsys.readouterr()
         assert quiet.err == ""
         assert quiet.out == verbose.out
         assert "1000000000000" in quiet.out
 
-    def test_verbose_class_count_phases_on_stderr_only(self, count_level4, capsys):
+    def test_verbose_class_count_phases_on_stderr_only(self, count_level4, tmp_path, capsys):
         # the class count's phase and progress records go to stderr, and
         # stdout does not change
-        assert main(["count", "--max-n", "6"]) == 0
+        argv = ["--cache-dir", str(tmp_path / "cache"), "count", "--max-n", "6"]
+        assert main(argv) == 0
         quiet = capsys.readouterr()
         assert quiet.err == ""
-        assert main(["--verbose", "count", "--max-n", "6"]) == 0
+        assert main(["--verbose", *argv]) == 0
         verbose = capsys.readouterr()
         assert verbose.out == quiet.out
         records = verbose.err.splitlines()
@@ -219,7 +215,8 @@ class TestCount:
         )
         assert [line.split()[4] for line in records[7:9]] == ["50/90", "90/90"]
         assert re.fullmatch(
-            r"deltamatroid\.levels: level 5: \d+ class rows in \d+\.\d+s", records[9]
+            r"deltamatroid\.levels: level 5: \d+ class rows in \d+\.\d+s \(threads: \d+\)",
+            records[9],
         )
 
     def test_text_table_columns(self, monkeypatch, capsys):
@@ -263,22 +260,24 @@ class TestCount:
         rows = json.loads(capsys.readouterr().out)["levels"]
         assert ["e" in row for row in rows] == [True] * 5 + [False]
 
-    def test_cache_reuse_is_byte_identical(self, tmp_path, monkeypatch, capsys):
+    def test_cache_reuse_is_byte_identical(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        assert main(["count", "--max-n", "3"]) == 0
+        argv = ["--cache-dir", str(cache_dir), "count", "--max-n", "3"]
+        assert main(argv) == 0
         first = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
         assert first
-        assert main(["count", "--max-n", "3"]) == 0
+        assert main(argv) == 0
         second = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
         assert first == second
 
     def test_corrupt_cache_recovers(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
-        assert main(["count", "--max-n", "3"]) == 0
+        argv = ["--cache-dir", str(cache_dir), "count", "--max-n", "3"]
+        assert main(argv) == 0
         capsys.readouterr()
         with open(cache_path(cache_dir, 2), "wb") as fh:
             fh.write(b"not a cache")
-        assert main(["--format", "json", "count", "--max-n", "3"]) == 0
+        assert main(["--format", "json", *argv]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["levels"][-1]["d"] == 155
 
@@ -286,9 +285,10 @@ class TestCount:
         # a flipped order-preserving bit leaves the level-4 file valid on
         # its own, but one of its systems then has a deletion by the top
         # element that level 4 does not list, and level 5 is built from it
-        assert main(["count", "--max-n", "4"]) == 0
+        cache_dir = str(tmp_path / "cache")
+        assert main(["--cache-dir", cache_dir, "count", "--max-n", "4"]) == 0
         capsys.readouterr()
-        path = cache_path(tmp_path / "cache", 4)
+        path = cache_path(cache_dir, 4)
         with open(path, "rb") as fh:
             data = bytearray(fh.read())
         offset = 14 + 2 * 3001
@@ -296,7 +296,7 @@ class TestCount:
         data[offset] ^= 1
         with open(path, "wb") as fh:
             fh.write(data)
-        assert main(["count", "--max-n", "5"]) == 2
+        assert main(["--cache-dir", cache_dir, "count", "--max-n", "5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: a top-element deletion is not listed\n"
@@ -304,19 +304,19 @@ class TestCount:
     def test_cache_without_a_single_set_system(self, tmp_path, capsys):
         # a level-4 file without the system {mask 5} is a valid file, but
         # the antipodal pairs of level 5 are read off its single-set systems
-        assert main(["count", "--max-n", "4"]) == 0
+        cache_dir = str(tmp_path / "cache")
+        assert main(["--cache-dir", cache_dir, "count", "--max-n", "4"]) == 0
         capsys.readouterr()
-        path = cache_path(tmp_path / "cache", 4)
+        path = cache_path(cache_dir, 4)
         v = levels.LevelCache.load(path).vectors
         levels.LevelCache(4, v[v != 1 << 5]).save(path)
-        assert main(["count", "--max-n", "5", "--with-even"]) == 2
+        assert main(["--cache-dir", cache_dir, "count", "--max-n", "5", "--with-even"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: a single-set system is not listed\n"
-        assert not os.path.exists(cache_path(tmp_path / "cache", 5))
+        assert not os.path.exists(cache_path(cache_dir, 5))
 
-    def test_verbose_logs_level_store_to_stderr_only(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("DM_CACHE_DIR")
+    def test_verbose_logs_level_store_to_stderr_only(self, tmp_path, capsys):
         cache_dir = tmp_path / "flag-cache"
         argv = ["--cache-dir", str(cache_dir), "count", "--max-n", "5"]
         assert main(argv) == 0
@@ -337,19 +337,17 @@ class TestCount:
         for n, line in zip((1, 2, 4, 5), lines[:2] + lines[5:]):
             assert re.search(rf"level {n}: loaded \d+ systems in \d+\.\d+s$", line), line
 
-    def test_env_var_overrides_flag(self, tmp_path, monkeypatch, capsys):
-        env_dir = tmp_path / "env-cache"
+    def test_flag_used_without_env(self, tmp_path, capsys):
         flag_dir = tmp_path / "flag-cache"
-        monkeypatch.setenv("DM_CACHE_DIR", str(env_dir))
-        assert main(["--cache-dir", str(flag_dir), "count", "--max-n", "2"]) == 0
-        assert env_dir.exists()
-        assert not flag_dir.exists()
-
-    def test_flag_used_without_env(self, tmp_path, monkeypatch, capsys):
-        flag_dir = tmp_path / "flag-cache"
-        monkeypatch.delenv("DM_CACHE_DIR")
         assert main(["--cache-dir", str(flag_dir), "count", "--max-n", "2"]) == 0
         assert flag_dir.exists()
+
+    def test_cache_dir_set_only_by_the_flag(self, tmp_path, monkeypatch, capsys):
+        # the level caches are kept only where --cache-dir says
+        env_dir = tmp_path / "env-cache"
+        monkeypatch.setenv("DM_CACHE_DIR", str(env_dir))
+        assert main(["count", "--max-n", "3"]) == 0
+        assert not env_dir.exists()
 
 
 class TestConstruct:
@@ -506,7 +504,7 @@ class TestSpectrumAndBound:
 
 
 class TestLimits:
-    """Out-of-range sizes and thread counts exit 2 before any work starts."""
+    """Out-of-range sizes exit 2 before any work starts."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -537,13 +535,6 @@ class TestLimits:
     def test_size_refused_before_any_work(self, argv, capsys):
         assert main(argv) == 2
         assert "must be in 1..16" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
-    def test_threads_refused_before_any_work(self, threads, tmp_path, capsys):
-        argv = ["--threads", str(threads), "count", "--max-n", "6"]
-        assert main(argv) == 2
-        assert "--threads must be in 1.." in capsys.readouterr().err
-        assert not (tmp_path / "cache").exists()
 
 
 def _construct_argvs():
@@ -630,14 +621,14 @@ class TestPinnedOutput:
 
 
 class TestInstalledScript:
-    def test_console_entry_point(self, tmp_path):
+    def test_console_entry_point(self):
         exe = shutil.which("dmtool")
         assert exe, "console script not installed"
         result = subprocess.run(
             [exe, "--format", "json", "count", "--max-n", "3"],
             capture_output=True,
             text=True,
-            env={"PATH": "/usr/bin:/usr/local/bin", "DM_CACHE_DIR": str(tmp_path)},
+            env={"PATH": "/usr/bin:/usr/local/bin"},
         )
         assert result.returncode == 0
         doc = json.loads(result.stdout)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import re
@@ -38,3 +39,23 @@ def test_readme_commands_parse():
     for line in lines:
         argv = shlex.split(line, comments=True)[1:]
         parser.parse_args(argv)
+
+
+def test_readme_prose_flags_exist():
+    # every --flag in an inline code span outside the fenced blocks, so a
+    # flag removed from cli.py cannot stay documented in the prose
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    flags = {
+        flag
+        for span in re.findall(r"`([^`]+)`", prose)
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", span)
+    }
+    assert {"--cache-dir", "--max-n", "--verbose"} <= flags
+    parser = build_parser()
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options.update(o for a in sub._actions for o in a.option_strings)
+    assert sorted(flags - options) == []

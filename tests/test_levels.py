@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import logging
 import os
@@ -749,14 +750,14 @@ class TestCounts:
     def test_level6_counted_through_classes(self, levels5, monkeypatch):
         calls = []
 
-        def counted(prev, threads=1):
-            calls.append((prev.n, threads))
+        def counted(prev):
+            calls.append(prev.n)
             return 10**12
 
         monkeypatch.setattr(levels, "count_next_level_via_classes", counted)
-        reports = count_report(6, levels5, threads=2)
+        reports = count_report(6, levels5)
         assert reports[-1].d == 10**12
-        assert calls == [(5, 2)]
+        assert calls == [5]
 
     def test_even_counts_and_split(self, levels5):
         for n in range(1, 6):
@@ -795,14 +796,45 @@ class TestClassCounting:
     def test_threaded_count_reports_progress_in_row_order(self, levels5, caplog):
         reps, _ = twist_permutation_classes(levels5[4])
         with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
-            count = count_next_level_via_classes(levels5[4], threads=2)
+            count = count_next_level_via_classes(levels5[4])
         assert count == EXPECTED_D[5]
         progress = [r.args[1:3] for r in caplog.records if "classes %d/%d" in r.msg]
         assert progress == [(50, len(reps)), (len(reps), len(reps))]
 
+    # the affinity call, or the CPU count where the platform has none
+    @pytest.mark.parametrize("affinity, cpu_count, threads", [
+        ({0, 1, 2}, 8, 3),
+        ({0}, 8, 1),
+        (None, 2, 2),
+        (None, None, 1),
+    ], ids=["three-cpus", "one-cpu", "no-affinity-call", "no-cpu-count"])
+    def test_pool_follows_the_cpu_set(
+        self, levels5, affinity, cpu_count, threads, monkeypatch, caplog
+    ):
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        reps, _ = twist_permutation_classes(levels5[4])
+        with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
+            assert count_next_level_via_classes(levels5[4]) == EXPECTED_D[5]
+        assert sizes == [threads]
+        progress = [r.args[1:3] for r in caplog.records if "classes %d/%d" in r.msg]
+        assert progress == [(50, len(reps)), (len(reps), len(reps))]
+        assert caplog.records[-1].getMessage().endswith(f" (threads: {threads})")
+
     def test_progress_logged_every_50_rows_and_on_the_last(self, levels5, caplog):
         with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
-            assert count_next_level_via_classes(levels5[4], threads=2) == EXPECTED_D[5]
+            assert count_next_level_via_classes(levels5[4]) == EXPECTED_D[5]
         progress = [r.getMessage() for r in caplog.records if ": classes " in r.getMessage()]
         assert len(progress) == 2, progress
         assert re.fullmatch(r"level 5: classes 50/90 \d+\.\ds eta \d+s", progress[0])
@@ -860,7 +892,7 @@ class TestClassCounting:
         assert re.fullmatch(r"level 5: compose kernel built in \d+\.\d+s", messages[1])
         for message, done in zip(messages[2:4], (50, 90)):
             assert re.fullmatch(rf"level 5: classes {done}/90 \d+\.\ds eta \d+s", message)
-        assert re.fullmatch(r"level 5: \d+ class rows in \d+\.\d+s", messages[4])
+        assert re.fullmatch(r"level 5: \d+ class rows in \d+\.\d+s \(threads: \d+\)", messages[4])
 
     def test_row_counts_constant_on_classes(self, levels5):
         # the compatibility count of a first component depends only on its
