@@ -4,8 +4,10 @@ Subcommands: check, count, construct, encode, decode, roundtrip,
 spectrum, bound.  Exit codes: 0 success/pass, 1 property
 violation, 2 usage, format or I/O error (a level cache that is not a
 complete level included), 3 resource limit.  Output is
-deterministic for a fixed invocation.  The level caches are read and
-written only under --cache-dir, when it is given.
+deterministic for a fixed invocation.  ``count`` is one call to
+levels.count_report, which refuses levels past 6 before any work and
+reads and writes the level caches only under --cache-dir, when it is
+given.
 """
 
 from __future__ import annotations
@@ -83,9 +85,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    levels.check_count_limits(args.max_n)
-    store = levels.build_levels(min(args.max_n, levels.MAX_LISTED_LEVEL), args.cache_dir)
-    reports = levels.count_report(args.max_n, store, with_even=args.with_even)
+    reports = levels.count_report(args.max_n, args.cache_dir, args.with_even)
     doc = {
         "levels": [
             {"n": r.n, "d": r.d, "gamma": r.gamma}

@@ -549,25 +549,24 @@ def _verify_count_invariants(reports: list[CountReport]) -> None:
             raise ValueError(f"gamma not decreasing at level {b.n}")
 
 
-def check_count_limits(n_max: int) -> None:
-    """Refuse a count request beyond the supported levels, before any work."""
-    if n_max > MAX_COUNTED_LEVEL:
-        raise ResourceLimitError(f"counts beyond level {MAX_COUNTED_LEVEL} unsupported")
-
-
 def count_report(
     n_max: int,
-    levels: dict[int, LevelCache],
+    cache_dir: str | os.PathLike | None = None,
     with_even: bool = False,
 ) -> list[CountReport]:
     """Exact counts and gamma statistics for levels 1..n_max.
 
-    ``levels`` must hold caches for 1..min(n_max, 5).  Level 6 is counted,
-    not listed, so its report has no e: count_next_level_via_classes counts
-    it from level 5 in seconds, on a thread per CPU the process may run
-    on, and logs its progress.
+    The count's one entry point.  A request beyond level 6 is refused
+    before any level is built or any directory made.  Levels
+    1..min(n_max, 5) come from build_levels, which reads and writes them
+    under ``cache_dir`` when it is given.  Level 6 is counted, not listed,
+    so its report has no e: count_next_level_via_classes counts it from
+    level 5 in seconds, on a thread per CPU the process may run on, and
+    logs its progress.
     """
-    check_count_limits(n_max)
+    if n_max > MAX_COUNTED_LEVEL:
+        raise ResourceLimitError(f"counts beyond level {MAX_COUNTED_LEVEL} unsupported")
+    levels = build_levels(min(n_max, MAX_LISTED_LEVEL), cache_dir)
     reports = []
     for n in range(1, n_max + 1):
         if n <= MAX_LISTED_LEVEL:

@@ -93,9 +93,9 @@ def test_ac01_exact_counts(tmp_path, capfd):
     )
 
 
-def test_ac02_gamma_regression(levels5):
+def test_ac02_gamma_regression():
     stated = {1: 1.0, 2: 1.0, 3: 0.865, 4: 0.649, 5: 0.476}
-    reports = count_report(5, levels5)
+    reports = count_report(5)
     gammas = {r.n: r.gamma for r in reports}
     close = all(abs(gammas[n] - stated[n]) <= 5e-4 for n in stated)
     decreasing = all(

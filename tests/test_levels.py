@@ -71,6 +71,16 @@ class TestEnumeration:
         with pytest.raises(CacheInvariantError):
             enumerate_level(broken)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a level missing a multi-set system composes a short next level;"
+        " see ROADMAP's level-store item",
+    )
+    def test_level_built_from_a_level_missing_a_system_is_refused(self, levels5):
+        v = levels5[4].vectors
+        with pytest.raises(CacheInvariantError):
+            enumerate_level(LevelCache(4, v[v != 3]))
+
     def test_listing_stops_at_level_five(self, levels5):
         with pytest.raises(ResourceLimitError):
             enumerate_level(levels5[5])
@@ -718,8 +728,8 @@ class TestCacheFiles:
 
 
 class TestCounts:
-    def test_report_values_and_gammas(self, levels5):
-        reports = count_report(5, levels5, with_even=True)
+    def test_report_values_and_gammas(self):
+        reports = count_report(5, with_even=True)
         stated = {1: 1.0, 2: 1.0, 3: 0.865, 4: 0.649, 5: 0.476}
         for r in reports:
             assert r.d == EXPECTED_D[r.n]
@@ -743,11 +753,30 @@ class TestCounts:
         assert gamma_value(1, 3) == 1.0
         assert gamma_value(2, 15) == 1.0
 
-    def test_level7_refused(self, levels5):
-        with pytest.raises(ResourceLimitError):
-            count_report(7, levels5)
+    def test_level7_refused(self, tmp_path, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("a level was built")
 
-    def test_level6_counted_through_classes(self, levels5, monkeypatch):
+        monkeypatch.setattr(levels, "build_levels", build)
+        with pytest.raises(ResourceLimitError):
+            count_report(7, tmp_path / "cache")
+        assert not (tmp_path / "cache").exists()
+
+    def test_report_reads_and_writes_the_cache_dir(self, tmp_path, caplog):
+        reports = count_report(4, tmp_path)
+        assert [r.d for r in reports] == [3, 15, 155, 5959]
+        assert sorted(os.listdir(tmp_path)) == [
+            os.path.basename(cache_path(tmp_path, n)) for n in range(1, 5)
+        ]
+        with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):
+            again = count_report(4, tmp_path)
+        assert again == reports
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 4
+        for n, message in enumerate(messages, start=1):
+            assert message.startswith(f"level {n}: loaded {EXPECTED_D[n]} systems in "), message
+
+    def test_level6_counted_through_classes(self, monkeypatch):
         calls = []
 
         def counted(prev):
@@ -755,7 +784,7 @@ class TestCounts:
             return 10**12
 
         monkeypatch.setattr(levels, "count_next_level_via_classes", counted)
-        reports = count_report(6, levels5)
+        reports = count_report(6)
         assert reports[-1].d == 10**12
         assert calls == [5]
 
