@@ -1,12 +1,14 @@
 """Constructions of large delta-matroid families.
 
-Three routes produce delta-matroids wholesale:
+Two routes produce delta-matroids wholesale:
 
 * complements of induced subgraphs of the hypercube with maximum degree at
   most one (stable sets being the degree-zero case), one of them sampled
   on a single edge cut;
-* unions of sparse paving matroid basis families, one per even rank, which
-  give even delta-matroids.
+* stacked even systems: the even sets minus one circuit-hyperplane family,
+  whose members of each even size r are the circuit-hyperplanes of a
+  sparse paving matroid of rank r, so the system is the union of one
+  sparse paving basis family per even rank.
 
 Sparse paving matroids are in bijection with stable sets in the Johnson
 graph J(n, r); a residue-class construction supplies stable sets of size at
@@ -19,28 +21,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from .setsystem import ImproperSystemError, SetSystem, mask_of, rank_indicator
+from .setsystem import (
+    ImproperSystemError, SetSystem, even_parity_indicator, mask_of, rank_indicator,
+)
 
 
 class ConstructionError(ValueError):
     """Base class for invalid construction inputs."""
-
-
-class DegreeViolationError(ConstructionError):
-    """Vertex set induces a subgraph of the hypercube with a degree above one."""
-
-
-class StabilityViolationError(ConstructionError):
-    """A claimed Johnson-graph stable set contains two adjacent vertices."""
-
-
-class LayerError(ConstructionError):
-    """A stacked construction is missing a layer or has an invalid one."""
 
 
 def hypercube_neighbors(mask: int, n: int) -> Iterator[int]:
@@ -66,7 +57,7 @@ def complement_delta_matroid(v: SetSystem) -> SetSystem:
     """
     degree = qn_degree(v)
     if degree > 1:
-        raise DegreeViolationError(f"induced degree {degree} exceeds 1")
+        raise ConstructionError(f"induced degree {degree} exceeds 1")
     bits = v.bits ^ ((1 << (1 << v.n)) - 1)
     if bits == 0:
         raise ImproperSystemError("complement of the full vertex set is empty")
@@ -137,74 +128,48 @@ def graham_sloane_stable_set(n: int, r: int) -> SetSystem:
     return SetSystem.from_masks(n, classes[best])
 
 
-@dataclass(frozen=True)
-class SparsePavingSpec:
-    """Sparse paving matroid data: the circuit-hyperplane family.
+def sparse_paving_matroid(r: int, circuit_hyperplanes: SetSystem) -> SetSystem:
+    """The bases of the sparse paving matroid of rank r on {1..n} with the
+    given circuit-hyperplanes: the r-sets outside them.
 
-    Every r-set is either a basis or a circuit-hyperplane; realizability is
-    exactly stability of the circuit-hyperplane family in J(n, r).
+    Every r-set is either a basis or a circuit-hyperplane; a family of
+    r-sets is the circuit-hyperplane family of such a matroid exactly when
+    it is stable in J(n, r) and leaves at least one basis.
     """
-
-    n: int
-    r: int
-    circuit_hyperplanes: SetSystem
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.r <= self.n:
-            raise ConstructionError(f"rank {self.r} out of range for n={self.n}")
-        ch = self.circuit_hyperplanes
-        if ch.n != self.n:
-            raise ConstructionError("circuit-hyperplane set over wrong ground set")
-        stray = ch.bits & ~rank_indicator(self.n, self.r)
-        if stray:
-            m = (stray & -stray).bit_length() - 1
-            raise ConstructionError(f"circuit-hyperplane {m} is not an {self.r}-set")
-
-    def validate_stability(self) -> None:
-        masks = list(self.circuit_hyperplanes.feasible_masks())
-        for i, x in enumerate(masks):
-            for y in masks[i + 1:]:
-                if (x & y).bit_count() == self.r - 1:
-                    raise StabilityViolationError(
-                        f"{x} and {y} share {self.r - 1} elements"
-                    )
+    n = circuit_hyperplanes.n
+    if not 0 <= r <= n:
+        raise ConstructionError(f"rank {r} out of range for n={n}")
+    rsets = rank_indicator(n, r)
+    stray = circuit_hyperplanes.bits & ~rsets
+    if stray:
+        m = (stray & -stray).bit_length() - 1
+        raise ConstructionError(f"circuit-hyperplane {m} is not an {r}-set")
+    for x, y in combinations(circuit_hyperplanes.feasible_masks(), 2):
+        if (x & y).bit_count() == r - 1:
+            raise ConstructionError(f"{x} and {y} share {r - 1} elements")
+    if circuit_hyperplanes.bits == rsets:
+        raise ConstructionError("every r-set is a circuit-hyperplane; the basis family is empty")
+    return SetSystem(n, rsets ^ circuit_hyperplanes.bits)
 
 
-def sparse_paving_matroid(spec: SparsePavingSpec) -> SetSystem:
-    """The bases of the sparse paving matroid: the r-sets outside the
-    circuit-hyperplanes."""
-    spec.validate_stability()
-    bits = rank_indicator(spec.n, spec.r) ^ spec.circuit_hyperplanes.bits
-    if bits == 0:
-        raise LayerError(
-            "every r-set is a circuit-hyperplane; the basis family is empty"
-        )
-    return SetSystem(spec.n, bits)
+def stacked_even_delta_matroid(n: int, circuit_hyperplanes: SetSystem) -> SetSystem:
+    """Even delta-matroid on {1..n}: the even sets minus a family of
+    circuit-hyperplanes.
 
-
-def stacked_even_delta_matroid(
-    n: int, layers: Mapping[int, SparsePavingSpec]
-) -> SetSystem:
-    """Even delta-matroid from one sparse paving matroid per even rank.
-
-    ``layers`` maps each even rank 0, 2, ..., 2*floor(n/2) to a spec on
-    {1..n} of that rank; the feasible family is the union of the layers'
-    basis families.
+    The members of each even size r are the circuit-hyperplanes of a sparse
+    paving matroid of rank r; the feasible family is the union of those
+    matroids' basis families, one per even rank.
     """
-    required = list(range(0, 2 * (n // 2) + 1, 2))
+    if circuit_hyperplanes.n != n:
+        raise ConstructionError(f"circuit-hyperplanes over n={circuit_hyperplanes.n}, not {n}")
+    odd = circuit_hyperplanes.bits & ~even_parity_indicator(n)
+    if odd:
+        m = (odd & -odd).bit_length() - 1
+        raise ConstructionError(f"circuit-hyperplane {m} has odd size")
     bits = 0
-    for rank in required:
-        if rank not in layers:
-            raise LayerError(f"missing layer for rank {rank}")
-        spec = layers[rank]
-        if spec.n != n or spec.r != rank:
-            raise LayerError(
-                f"layer for rank {rank} has n={spec.n}, r={spec.r}"
-            )
-        bits |= sparse_paving_matroid(spec).bits
-    extra = set(layers) - set(required)
-    if extra:
-        raise LayerError(f"unexpected layer ranks {sorted(extra)}")
+    for r in range(0, n + 1, 2):
+        layer = SetSystem(n, circuit_hyperplanes.bits & rank_indicator(n, r))
+        bits |= sparse_paving_matroid(r, layer).bits
     return SetSystem(n, bits)
 
 
@@ -224,14 +189,14 @@ def random_residue_stable_subset(n: int, r: int, rng: random.Random) -> SetSyste
     ))
 
 
-def random_stacked_layers(n: int, seed: int) -> dict[int, SparsePavingSpec]:
-    """Seeded random layer family for the stacked even construction."""
+def random_stacked_layers(n: int, seed: int) -> SetSystem:
+    """Seeded random circuit-hyperplane family for the stacked even
+    construction: one family holding, for each even rank in ascending
+    order, a random stable subset of a residue class of that rank (the
+    ranks' sets are disjoint, so their bits add)."""
     rng = random.Random(seed)
-    layers = {}
-    for rank in range(0, 2 * (n // 2) + 1, 2):
-        ch = random_residue_stable_subset(n, rank, rng)
-        layers[rank] = SparsePavingSpec(n, rank, ch)
-    return layers
+    layers = (random_residue_stable_subset(n, r, rng) for r in range(0, n + 1, 2))
+    return SetSystem(n, sum(layer.bits for layer in layers))
 
 
 def random_stable_set(n: int, seed: int) -> SetSystem:

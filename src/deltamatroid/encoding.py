@@ -261,8 +261,6 @@ def certified_flips(p: Partition) -> frozenset[int]:
     """The pair masks {a, b} for which the cover marks X symmetric-difference
     {a, b} feasible: at least three blocks and a, b in two distinct blocks,
     neither the block holding z."""
-    if len(p.blocks) < 3:
-        return frozenset()
     marked = [block for block in p.blocks if 0 not in block]
     return frozenset(
         (1 << (a - 1)) | (1 << (b - 1))

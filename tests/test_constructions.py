@@ -5,8 +5,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from deltamatroid.setsystem import (
@@ -17,10 +18,6 @@ from deltamatroid.setsystem import (
 )
 from deltamatroid.constructions import (
     ConstructionError,
-    DegreeViolationError,
-    LayerError,
-    SparsePavingSpec,
-    StabilityViolationError,
     complement_delta_matroid,
     cut_count_lower_bound,
     cut_count_lower_bound_exact,
@@ -95,7 +92,7 @@ class TestComplement:
 
     def test_degree_one_mode_rejects_a_path(self):
         v = SetSystem.from_masks(2, [0b00, 0b01, 0b11])
-        with pytest.raises(DegreeViolationError):
+        with pytest.raises(ConstructionError, match="induced degree 2 exceeds 1"):
             complement_delta_matroid(v)
 
     def test_full_cover_is_improper(self):
@@ -310,37 +307,33 @@ class TestGrahamSloane:
 
 class TestSparsePaving:
     def test_uniform_from_empty_spec(self):
-        m = sparse_paving_matroid(SparsePavingSpec(4, 2, SetSystem(4, 0)))
+        m = sparse_paving_matroid(2, SetSystem(4, 0))
         assert sorted(m.feasible_masks()) == [
             0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100,
         ]
         assert {b.bit_count() for b in m.feasible_masks()} == {2}
 
     def test_example_with_hyperplanes(self):
-        spec = SparsePavingSpec(4, 2, SetSystem.from_masks(4, [0b0011, 0b1100]))
-        m = sparse_paving_matroid(spec)
+        m = sparse_paving_matroid(2, SetSystem.from_masks(4, [0b0011, 0b1100]))
         assert sorted(m.feasible_masks()) == [0b0101, 0b0110, 0b1001, 0b1010]
         assert is_matroid(m)
         assert is_delta_matroid(m)
 
     def test_instability_rejected(self):
-        spec = SparsePavingSpec(4, 2, SetSystem.from_masks(4, [0b0011, 0b0101]))
-        with pytest.raises(StabilityViolationError):
-            spec.validate_stability()
-        with pytest.raises(StabilityViolationError):
-            sparse_paving_matroid(spec)
+        with pytest.raises(ConstructionError, match="3 and 5 share 1 elements"):
+            sparse_paving_matroid(2, SetSystem.from_masks(4, [0b0011, 0b0101]))
 
     def test_wrong_rank_rejected(self):
-        with pytest.raises(ConstructionError):
-            SparsePavingSpec(4, 2, SetSystem.from_masks(4, [0b0111]))
-        with pytest.raises(ConstructionError):
-            SparsePavingSpec(4, 5, SetSystem(4, 0))
+        with pytest.raises(ConstructionError, match="is not an 2-set"):
+            sparse_paving_matroid(2, SetSystem.from_masks(4, [0b0111]))
+        with pytest.raises(ConstructionError, match="rank 5 out of range for n=4"):
+            sparse_paving_matroid(5, SetSystem(4, 0))
+        with pytest.raises(ConstructionError, match="rank -1 out of range"):
+            sparse_paving_matroid(-1, SetSystem(4, 0))
 
     def test_stray_mask_named(self):
         with pytest.raises(ConstructionError, match="circuit-hyperplane 7 is not a"):
-            SparsePavingSpec(4, 2, SetSystem.from_masks(4, [0b0011, 0b0111, 0b1111]))
-        with pytest.raises(ConstructionError, match="wrong ground set"):
-            SparsePavingSpec(4, 2, SetSystem(3, 0))
+            sparse_paving_matroid(2, SetSystem.from_masks(4, [0b0011, 0b0111, 0b1111]))
 
     def test_bases_are_the_other_rsets(self):
         # the bases are the r-sets that are not circuit-hyperplanes
@@ -356,18 +349,16 @@ class TestSparsePaving:
             ]
             if not expected:
                 continue
-            assert list(sparse_paving_matroid(SparsePavingSpec(n, r, ch)).feasible_masks()) == expected
+            assert list(sparse_paving_matroid(r, ch).feasible_masks()) == expected
 
     def test_every_rset_forbidden_rejected(self):
         # the rank-0 Johnson graph has one vertex, so forbidding it is stable
         # yet leaves no basis
-        spec = SparsePavingSpec(2, 0, SetSystem.from_masks(2, [0]))
-        with pytest.raises(LayerError):
-            sparse_paving_matroid(spec)
+        with pytest.raises(ConstructionError, match="basis family is empty"):
+            sparse_paving_matroid(0, SetSystem.from_masks(2, [0]))
 
     def test_dual_is_sparse_paving(self):
-        spec = SparsePavingSpec(5, 2, SetSystem.from_masks(5, [0b00011, 0b01100]))
-        m = sparse_paving_matroid(spec)
+        m = sparse_paving_matroid(2, SetSystem.from_masks(5, [0b00011, 0b01100]))
         d = dual(m)
         full = (1 << 5) - 1
         assert set(d.feasible_masks()) == {full ^ b for b in m.feasible_masks()}
@@ -413,54 +404,73 @@ class TestSparsePaving:
 
 class TestStacked:
     @staticmethod
-    def full_spec(n: int, r: int) -> SparsePavingSpec:
-        return SparsePavingSpec(n, r, SetSystem(n, 0))
+    def stable_layers(n: int, r: int) -> list[int]:
+        """Every family of r-sets stable in J(n, r) that leaves a basis."""
+        rsets = [m for m in range(1 << n) if popcount(m) == r]
+        return [
+            sum(1 << rsets[i] for i in range(len(rsets)) if pick >> i & 1)
+            for pick in range((1 << len(rsets)) - 1)
+            if all(
+                popcount(rsets[i] & rsets[j]) != r - 1
+                for i, j in combinations(range(len(rsets)), 2)
+                if pick >> i & 1 and pick >> j & 1
+            )
+        ]
 
     def test_minimal(self):
-        d = stacked_even_delta_matroid(
-            2, {0: self.full_spec(2, 0), 2: self.full_spec(2, 2)}
-        )
+        d = stacked_even_delta_matroid(2, SetSystem(2, 0))
         assert sorted(d.feasible_masks()) == [0b00, 0b11]
 
     def test_full_layers_give_even_family(self):
-        layers = {r: self.full_spec(4, r) for r in (0, 2, 4)}
-        d = stacked_even_delta_matroid(4, layers)
+        d = stacked_even_delta_matroid(4, SetSystem(4, 0))
         assert sorted(d.feasible_masks()) == [
             m for m in range(16) if popcount(m) % 2 == 0
         ]
 
-    def test_missing_layer_rejected(self):
-        with pytest.raises(LayerError):
-            stacked_even_delta_matroid(4, {0: self.full_spec(4, 0)})
-
-    def test_mismatched_layer_rejected(self):
-        with pytest.raises(LayerError):
-            stacked_even_delta_matroid(
-                4,
-                {
-                    0: self.full_spec(4, 0),
-                    2: self.full_spec(4, 4),
-                    4: self.full_spec(4, 4),
-                },
-            )
-
-    def test_extra_layer_rejected(self):
-        with pytest.raises(LayerError):
-            stacked_even_delta_matroid(
-                2,
-                {
-                    0: self.full_spec(2, 0),
-                    1: SparsePavingSpec(2, 1, SetSystem(2, 0)),
-                    2: self.full_spec(2, 2),
-                },
-            )
+    def test_removes_exactly_the_circuit_hyperplanes(self):
+        ch = SetSystem.from_masks(4, [0b0011, 0b1100])
+        d = stacked_even_delta_matroid(4, ch)
+        assert sorted(d.feasible_masks()) == [
+            m for m in range(16) if popcount(m) % 2 == 0 and not ch.has_mask(m)
+        ]
 
     def test_emptied_layer_rejected(self):
-        bad = SparsePavingSpec(2, 1, SetSystem.from_masks(2, [0b01, 0b10]))
-        with pytest.raises(LayerError):
-            stacked_even_delta_matroid(
-                3, {0: self.full_spec(3, 0), 2: bad}
-            )
+        with pytest.raises(ConstructionError, match="basis family is empty"):
+            stacked_even_delta_matroid(2, SetSystem.from_masks(2, [0b11]))
+
+    def test_unstable_layer_rejected(self):
+        with pytest.raises(ConstructionError, match="3 and 5 share 1 elements"):
+            stacked_even_delta_matroid(4, SetSystem.from_masks(4, [0b0011, 0b0101]))
+
+    def test_odd_member_rejected(self):
+        with pytest.raises(ConstructionError, match="circuit-hyperplane 7 has odd size"):
+            stacked_even_delta_matroid(4, SetSystem.from_masks(4, [0b0011, 0b0111]))
+
+    def test_wrong_ground_set_rejected(self):
+        with pytest.raises(ConstructionError, match="over n=3, not 4"):
+            stacked_even_delta_matroid(4, SetSystem(3, 0))
+
+    def test_random_families_are_even_rank_families(self):
+        for n in range(1, 9):
+            for seed in range(5):
+                ch = random_stacked_layers(n, seed)
+                assert ch.n == n
+                assert all(popcount(m) % 2 == 0 for m in ch.feasible_masks())
+
+    def test_every_stable_family_up_to_five(self, levels5):
+        # every family whose even-rank layers are stable and leave a basis
+        # gives a distinct even delta-matroid listed at its level
+        for n, expected in zip(range(1, 6), (1, 1, 4, 10, 156)):
+            layers = [self.stable_layers(n, r) for r in range(0, n + 1, 2)]
+            seen = set()
+            for family in product(*layers):
+                d = stacked_even_delta_matroid(n, SetSystem(n, sum(family)))
+                assert is_even(d)
+                seen.add(d.bits)
+            assert len(seen) == expected
+            listed = levels5[n].vectors  # ascending
+            found = np.array(sorted(seen), dtype=listed.dtype)
+            assert np.array_equal(listed[np.searchsorted(listed, found)], found)
 
     def test_random_samples_are_even_delta_matroids(self):
         for seed in range(200):
