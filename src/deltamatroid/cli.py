@@ -1,12 +1,11 @@
 """Command-line front end.
 
-Subcommands: check, count, construct, encode, decode, roundtrip,
-spectrum, bound.  Exit codes: 0 success/pass, 1 property
-violation, 2 usage, format or I/O error (a level cache that is not a
-complete level included), 3 resource limit.  Output is
-deterministic for a fixed invocation.  ``count`` is one call to
-levels.count_report, which refuses levels past 6 before any work and
-reads and writes the level caches only under --cache-dir, when it is
+Subcommands: check, count, construct, encode, decode, roundtrip, bound.
+Exit codes: 0 success/pass, 1 property violation, 2 usage, format or I/O
+error (a level cache that is not a complete level included), 3 resource
+limit.  Output is deterministic for a fixed invocation.  ``count`` is one
+call to levels.count_report, which refuses levels past 6 before any work
+and reads and writes the level caches only under --cache-dir, when it is
 given.
 """
 
@@ -167,19 +166,6 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    values = encoding.halved_cube_spectrum(args.n)
-    smallest = encoding.smallest_eigenvalue(args.n)
-    doc = {"n": args.n, "values": values, "min": smallest}
-    lines = [
-        f"lambda={lam:>3} -> {val}"
-        for lam, val in zip(range(-args.n, args.n + 1, 2), values)
-    ]
-    lines.append(f"smallest: {smallest}")
-    _report(args, doc, lines)
-    return EXIT_PASS
-
-
 def cmd_bound(args: argparse.Namespace) -> int:
     report = encoding.upper_bound_report(args.n)
     doc = {
@@ -239,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="encode then decode, verify equality")
     p.add_argument("--in", dest="in_path", required=True)
     p.set_defaults(func=cmd_roundtrip)
-
-    p = sub.add_parser("spectrum", help="distance-2 component eigenvalues")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bound", help="even-count upper bound ingredients")
     p.add_argument("--n", type=int, required=True)

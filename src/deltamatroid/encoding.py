@@ -55,7 +55,7 @@ class Parity(Enum):
     ODD = "odd"
 
 
-# --- the distance-2 graph and its spectrum ------------------------------------
+# --- the distance-2 graph ------------------------------------------------------
 #
 # The peel runs on the even component of the distance-2 graph of the n-cube
 # (the halved cube) without building it: vertex m has index m >> 1 and its
@@ -86,24 +86,6 @@ def _feasibility_bytes(d: SetSystem) -> bytes:
     """
     packed = np.frombuffer(d.bits.to_bytes(max(1 << d.n >> 3, 1), "little"), dtype=np.uint8)
     return np.unpackbits(packed, bitorder="little").tobytes()
-
-
-def halved_cube_spectrum(n: int) -> list[int]:
-    """Eigenvalues (lambda^2 - n)/2 for lambda = -n, -n+2, ..., n."""
-    if n < 2:
-        raise EncodingError("spectrum needs n >= 2")
-    return [(lam * lam - n) // 2 for lam in range(-n, n + 1, 2)]
-
-
-def smallest_eigenvalue(n: int) -> int:
-    """Smallest distance-2 component eigenvalue: -n/2 for even n,
-    (1-n)/2 for odd n."""
-    return min(halved_cube_spectrum(n))
-
-
-def eigenvalue_gap(n: int) -> Fraction:
-    """lambda = |smallest eigenvalue| as an exact rational."""
-    return Fraction(-smallest_eigenvalue(n))
 
 
 # --- the peeling procedure -----------------------------------------------------
@@ -183,10 +165,29 @@ def s_length_bound(n: int) -> int:
     return math.ceil(component_sigma(n) * (1 << (n - 1)))
 
 
+def _degree_plus_gap(n: int) -> int:
+    """d + lambda for the halved cube on n elements, which is n*n // 2.
+
+    The eigenvalues are (mu^2 - n)/2 over mu = -n, -n+2, ..., n, least at
+    |mu| <= 1, so lambda = -min = n // 2; with the degree d = C(n, 2) the
+    sum is n*n // 2.
+    """
+    if n < 2:
+        raise EncodingError("the halved cube needs n >= 2")
+    return n * n // 2
+
+
 def component_alpha(n: int) -> Fraction:
-    """alpha = lambda/(d + lambda): 1/n for even n, 1/(n+1) for odd n."""
-    lam = eigenvalue_gap(n)
-    return lam / (math.comb(n, 2) + lam)
+    """alpha = lambda/(d + lambda) = (n // 2)/(n*n // 2): 1/n for even n,
+    1/(n+1) for odd n."""
+    return Fraction(n // 2, _degree_plus_gap(n))
+
+
+def component_sigma(n: int) -> Fraction:
+    """sigma = ln(d + 1)/(d + lambda) = ln(C(n, 2) + 1)/(n*n // 2),
+    canonicalized as the exact rational value of its double-precision
+    evaluation."""
+    return Fraction(math.log(math.comb(n, 2) + 1) / _degree_plus_gap(n))
 
 
 # --- local covers ---------------------------------------------------------------
@@ -304,14 +305,6 @@ class EncodingRecord:
     @property
     def sigma(self) -> Fraction:
         return component_sigma(self.n)
-
-
-def component_sigma(n: int) -> Fraction:
-    """sigma = ln(d+1)/(d+lambda), canonicalized as the exact rational
-    value of its double-precision evaluation."""
-    d = math.comb(n, 2)
-    lam = eigenvalue_gap(n)
-    return Fraction(math.log(d + 1) / float(d + lam))
 
 
 def encode_even_system(d: SetSystem) -> EncodingRecord:

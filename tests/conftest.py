@@ -176,6 +176,16 @@ def distance_two_matrix_identity(n: int) -> bool:
     return bool(np.array_equal(lhs, rhs))
 
 
+def numeric_least_eigenvalue(n: int) -> int:
+    """The least eigenvalue of the distance-2 adjacency matrix on the even
+    masks, by a dense numeric eigensolver, rounded to the integer it is."""
+    even = np.array([m for m in range(1 << n) if m.bit_count() % 2 == 0])
+    mat = (cube_distances(n)[np.ix_(even, even)] == 2).astype(float)
+    least = float(np.linalg.eigvalsh(mat)[0])
+    assert abs(least - round(least)) < 1e-9
+    return round(least)
+
+
 def antipodal_systems(n: int) -> list[SetSystem]:
     """All systems whose feasible family is {F, complement of F}."""
     if n < 1:

@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -33,7 +34,6 @@ from deltamatroid.encoding import (
     kw_reconstruct,
     local_cover,
     s_length_bound,
-    smallest_eigenvalue,
     upper_bound_report,
 )
 from tests.conftest import (
@@ -41,6 +41,7 @@ from tests.conftest import (
     cover_certifies,
     distance_two_matrix_identity,
     kw_encode,
+    numeric_least_eigenvalue,
     oracle_is_delta_matroid,
 )
 
@@ -185,15 +186,16 @@ def test_ac06_lower_bounds():
 def test_ac07_spectral_checks():
     start = time.monotonic()
     identity_ok = all(distance_two_matrix_identity(n) for n in range(2, 9))
+    gaps = {n: -numeric_least_eigenvalue(n) for n in range(2, 12)}
     eig_ok = all(
-        smallest_eigenvalue(n) == (-n // 2 if n % 2 == 0 else (1 - n) // 2)
-        for n in range(2, 13)
+        lam == n // 2 and component_alpha(n) == Fraction(lam, math.comb(n, 2) + lam)
+        for n, lam in gaps.items()
     )
     elapsed = time.monotonic() - start
     report(
         "7 spectral checks",
         identity_ok and eig_ok and elapsed < 60,
-        f"identity n<=8, eigenvalue n<=12, {elapsed:.1f}s",
+        f"identity n<=8, least eigenvalue and alpha n<=11, {elapsed:.1f}s",
     )
 
 

@@ -478,20 +478,6 @@ class TestEncodeDecode:
 
 
 class TestSpectrumAndBound:
-    def test_spectrum_text(self, capsys):
-        assert main(["spectrum", "--n", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "smallest: -2" in out
-
-    def test_spectrum_json(self, capsys):
-        assert main(["--format", "json", "spectrum", "--n", "5"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["min"] == -2
-        assert len(doc["values"]) == 6
-
-    def test_spectrum_rejects_tiny(self, capsys):
-        assert main(["spectrum", "--n", "1"]) == 2
-
     def test_bound_json(self, capsys):
         assert main(["--format", "json", "bound", "--n", "4"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -501,6 +487,12 @@ class TestSpectrumAndBound:
 
     def test_bound_rejects_tiny(self, capsys):
         assert main(["bound", "--n", "2"]) == 2
+
+    def test_no_spectrum_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--n", "4"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'spectrum'" in capsys.readouterr().err
 
 
 class TestLimits:
@@ -516,7 +508,6 @@ class TestLimits:
             (constructions, "sample_cut_construction"),
             (constructions, "random_stacked_layers"),
             (constructions, "graham_sloane_stable_set"),
-            (encoding, "halved_cube_spectrum"),
             (encoding, "upper_bound_report"),
             (levels, "build_levels"),
             (levels, "count_next_level_via_classes"),
@@ -528,7 +519,6 @@ class TestLimits:
         ["construct", "gs-stable", "--n", "60", "--r", "30"],
         ["construct", "stable-complement", "--n", "40"],
         ["construct", "stacked-even", "--n", "0"],
-        ["spectrum", "--n", "300000000"],
         ["bound", "--n", "1100"],
         ["count", "--max-n", "0"],
     ], ids=lambda argv: "-".join(argv).replace("--", ""))

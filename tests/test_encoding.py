@@ -41,16 +41,13 @@ from deltamatroid.encoding import (
     decode_even_system,
     dumps_record,
     encode_even_system,
-    eigenvalue_gap,
     even_masks,
-    halved_cube_spectrum,
     kw_reconstruct,
     load_record,
     loads_record,
     local_cover,
     reconstruct_system,
     s_length_bound,
-    smallest_eigenvalue,
     upper_bound_report,
 )
 from tests.conftest import (
@@ -59,10 +56,10 @@ from tests.conftest import (
     cache_systems,
     cover_certifies,
     cube_adjacency_matrix,
-    cube_distances,
     distance_two_matrix_identity,
     kw_encode,
     list_scan_peel,
+    numeric_least_eigenvalue,
     single_block_partition,
     tamper_record,
 )
@@ -114,25 +111,46 @@ class TestSpectrum:
         assert sq[0b0000, 0b0011] == 2
         assert sq[0b0000, 0b0000] == 4
 
-    def test_values_n4(self):
-        assert halved_cube_spectrum(4) == [6, 0, -2, 0, 6]
-        assert smallest_eigenvalue(4) == -2
-
-    def test_min_formula(self):
-        for n in range(2, 13):
-            expected = -n // 2 if n % 2 == 0 else (1 - n) // 2
-            assert smallest_eigenvalue(n) == expected
-            assert eigenvalue_gap(n) == Fraction(-expected)
-
     def test_matches_numeric_eigenvalues(self):
-        for n in range(2, 7):
-            even = np.array(even_masks(n))
-            mat = (cube_distances(n)[np.ix_(even, even)] == 2).astype(float)
-            numeric = np.linalg.eigvalsh(mat)
-            assert set(halved_cube_spectrum(n)) == {
-                int(round(v)) for v in numeric
-            }
-            assert np.allclose(numeric, np.round(numeric), atol=1e-9)
+        # alpha = lambda/(C(n, 2) + lambda), lambda = -min eigenvalue of the
+        # even distance-2 matrix, computed numerically
+        for n in range(2, 12):
+            lam = -numeric_least_eigenvalue(n)
+            assert lam == n // 2
+            assert component_alpha(n) == Fraction(lam, math.comb(n, 2) + lam)
+
+    # str(alpha), str(sigma) as records have always written them: a one-ulp
+    # drift in sigma at any n would change every record at that n
+    @pytest.mark.parametrize("n, alpha, sigma", [
+        (2, "1/2", "6243314768165359/18014398509481984"),
+        (3, "1/4", "6243314768165359/18014398509481984"),
+        (4, "1/4", "8763600222181975/36028797018963968"),
+        (5, "1/6", "7199440171365477/36028797018963968"),
+        (6, "1/6", "5549613127258097/36028797018963968"),
+        (7, "1/8", "290017034190227/2251799813685248"),
+        (8, "1/8", "7582476122586655/72057594037927936"),
+        (9, "1/10", "6504851426339991/72057594037927936"),
+        (10, "1/10", "2758826874650167/36028797018963968"),
+        (11, "1/12", "4834285966514671/72057594037927936"),
+        (12, "1/12", "2104028012655181/36028797018963968"),
+        (13, "1/14", "3748236899082913/72057594037927936"),
+        (14, "1/14", "831196953087601/18014398509481984"),
+        (15, "1/16", "6000646447573745/144115188075855872"),
+        (16, "1/16", "1349895032131027/36028797018963968"),
+    ])
+    def test_record_parameters_pinned(self, n, alpha, sigma):
+        assert (str(component_alpha(n)), str(component_sigma(n))) == (alpha, sigma)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("parameter", [
+        component_alpha,
+        component_sigma,
+        s_length_bound,
+        lambda n: EncodingRecord(n, Parity.EVEN, (), (), ()),
+    ], ids=["alpha", "sigma", "s_length_bound", "record"])
+    def test_needs_two_elements(self, parameter, n):
+        with pytest.raises(EncodingError):
+            parameter(n)
 
 
 class TestPeeling:
