@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -113,8 +113,9 @@ def _peel(n: int, members: set[int]) -> KWResult:
     if n < 2:
         raise EncodingError("component graph needs n >= 2")
     start = time.perf_counter()
-    steps = np.array(_pair_masks(n), dtype=np.uint16) >> 1
-    masks = np.array(even_masks(n), dtype=np.uint16)
+    # intp, so that indexing ``degree`` with ``steps ^ i`` casts nothing
+    steps = np.array(_pair_masks(n), dtype=np.intp) >> 1
+    masks = even_masks(n)
     count = len(masks)
     degree = np.full(count, len(steps), dtype=np.int16)
     survivors = count
@@ -122,7 +123,7 @@ def _peel(n: int, members: set[int]) -> KWResult:
     s: list[int] = []
     while survivors > threshold:
         i = int(degree.argmax())
-        mask = int(masks[i])
+        mask = masks[i]
         neighbours = steps ^ i
         if mask in members:
             s.append(mask)
@@ -135,7 +136,7 @@ def _peel(n: int, members: set[int]) -> KWResult:
             survivors -= 1
             degree[neighbours] -= 1
         degree[i] = -1
-    a = tuple(masks[degree >= 0].tolist())
+    a = tuple(m for m, live in zip(masks, degree.tolist()) if live >= 0)
     if logger.isEnabledFor(logging.INFO):
         logger.info(
             "peel n=%d: |S|=%d (bound %d), |A|=%d (alpha*N=%.1f), %.3fs",
@@ -219,9 +220,10 @@ def _lowest_mask(d: SetSystem) -> int:
     return (d.bits & -d.bits).bit_length() - 1
 
 
-def local_cover(d: SetSystem, x: int) -> Partition:
-    """Partition of the ground set plus z recording, for the infeasible
-    even set X, which sets X symmetric-difference {a, b} are feasible.
+def local_covers(d: SetSystem, xs: tuple[int, ...]) -> tuple[Partition, ...]:
+    """The local cover of each infeasible even set X in ``xs``: a partition
+    of the ground set plus z recording which sets X symmetric-difference
+    {a, b} are feasible.
 
     The twist D*X is even with no empty set, so its minimum feasible sets
     have size 2 exactly when some distance-2 neighbour X ^ {a, b} is
@@ -229,46 +231,80 @@ def local_cover(d: SetSystem, x: int) -> Partition:
     blocks are its parallel classes, with loops and z merged into one
     block.  With no such pair every element is a loop, so the partition
     is that one block.
+
+    All covers come from one |xs| x C(n, 2) matrix of those feasibility
+    bits: a non-loop e's block is the non-loops f with {e, f} not a basis,
+    named by its lowest element, and each row must certify exactly its
+    bases.
     """
     if not is_even(d):
         raise EncodingError("local covers require an even delta-matroid")
     if _lowest_mask(d).bit_count() & 1:
         raise EncodingError("system must be all-even (twist by {1} first)")
-    if x.bit_count() & 1:
-        raise EncodingError(f"target set {x} has odd size")
-    if d.has_mask(x):
-        raise EncodingError(f"target set {x} is feasible")
-    feasible = _feasibility_bytes(d)
-    bases = {pair for pair in _pair_masks(d.n) if feasible[x ^ pair]}
-    bits = {e: 1 << (e - 1) for e in range(1, d.n + 1)}
-    non_loops = [e for e in bits if any(basis & bits[e] for basis in bases)]
-    # e's block: the non-loops f with {e, f} not a basis, e itself included
-    classes = sorted(
-        {frozenset(f for f in non_loops if bits[e] | bits[f] not in bases) for e in non_loops},
-        key=min,
-    )
-    # every non-loop is in its own block: the blocks are disjoint iff their sizes add up
-    if sum(map(len, classes)) == len(non_loops):
-        loops = frozenset(bits) - frozenset(non_loops)
-        cover = Partition(d.n, (loops | {0}, *classes))
-        if certified_flips(cover) == bases:
-            return cover
-    raise EncodingError(
-        "the pairs {a, b} with X ^ {a, b} feasible are not the bases of a rank-2 matroid"
-    )
+    for x in xs:
+        if x.bit_count() & 1:
+            raise EncodingError(f"target set {x} has odd size")
+        if d.has_mask(x):
+            raise EncodingError(f"target set {x} is feasible")
+    n = d.n
+    first, second = _pair_elements(n)
+    feasible = np.frombuffer(_feasibility_bytes(d), dtype=bool)
+    bases = feasible[np.array(xs, dtype=np.intp).reshape(-1, 1) ^ np.array(_pair_masks(n))]
+    adjacent = np.zeros((len(xs), n + 1, n + 1), dtype=bool)
+    adjacent[:, first, second] = adjacent[:, second, first] = bases
+    non_loops = adjacent.any(axis=2)
+    # the lowest f in e's block, or 0 (z's block) for a loop and for z
+    ids = np.where(non_loops, (non_loops[:, None, :] & ~adjacent).argmax(axis=2), 0)
+    if not np.array_equal(_certified(ids), bases):
+        raise EncodingError(
+            "the pairs {a, b} with X ^ {a, b} feasible are not the bases of a rank-2 matroid"
+        )
+    covers = []
+    for row in ids.tolist():
+        blocks: dict[int, list[int]] = {}
+        for e, block in enumerate(row):
+            blocks.setdefault(block, []).append(e)
+        covers.append(Partition(n, tuple(map(frozenset, blocks.values()))))
+    return tuple(covers)
+
+
+def local_cover(d: SetSystem, x: int) -> Partition:
+    """The local cover of the one infeasible even set X (see local_covers)."""
+    return local_covers(d, (x,))[0]
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_elements(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The elements a < b of each pair of _pair_masks(n), numbered from 1."""
+    pairs = np.array(list(combinations(range(1, n + 1), 2)), dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _block_ids(covers: tuple[Partition, ...], n: int) -> np.ndarray:
+    """One row per cover naming each of 0..n by the lowest element of its
+    block, so z's block is 0."""
+    rows = [[0] * (n + 1) for _ in covers]
+    for row, cover in zip(rows, covers):
+        for block in cover.blocks:
+            low = min(block)
+            for e in block:
+                row[e] = low
+    return np.array(rows, dtype=np.intp).reshape(len(covers), n + 1)
+
+
+def _certified(ids: np.ndarray) -> np.ndarray:
+    """Which pairs of _pair_masks each block-id row certifies: a and b in two
+    distinct blocks, neither the block holding z (so at least three blocks)."""
+    first, second = _pair_elements(ids.shape[1] - 1)
+    a, b = ids[:, first], ids[:, second]
+    return (a != b) & (a != 0) & (b != 0)
 
 
 def certified_flips(p: Partition) -> frozenset[int]:
     """The pair masks {a, b} for which the cover marks X symmetric-difference
     {a, b} feasible: at least three blocks and a, b in two distinct blocks,
     neither the block holding z."""
-    marked = [block for block in p.blocks if 0 not in block]
-    return frozenset(
-        (1 << (a - 1)) | (1 << (b - 1))
-        for block_a, block_b in combinations(marked, 2)
-        for a in block_a
-        for b in block_b
-    )
+    return frozenset(compress(_pair_masks(p.n), _certified(_block_ids((p,), p.n))[0].tolist()))
 
 
 # --- whole-system records -------------------------------------------------------
@@ -293,6 +329,8 @@ class EncodingRecord:
     def __post_init__(self) -> None:
         if len(self.s) != len(self.covers):
             raise EncodingError("one cover required per selected vertex")
+        if any(cover.n != self.n for cover in self.covers):
+            raise EncodingError(f"every cover must be over n={self.n}")
         if len(self.s) > s_length_bound(self.n):
             raise EncodingError("selection exceeds its guaranteed length bound")
         if any(a >= b for a, b in zip(self.residual, self.residual[1:])):
@@ -323,17 +361,18 @@ def encode_even_system(d: SetSystem) -> EncodingRecord:
         parity = Parity.ODD
         d = twist(d, 1)
     feasible = _feasibility_bytes(d)
-    l_set = [m for m in even_masks(d.n) if not feasible[m]]
-    result = _peel(d.n, set(l_set))
-    in_a = set(result.a)
-    covers = tuple(local_cover(d, x) for x in result.s)
-    residual = tuple(m for m in l_set if m in in_a)
+    result = _peel(d.n, {m for m in even_masks(d.n) if not feasible[m]})
+    start = time.perf_counter()
+    covers = local_covers(d, result.s)
+    if logger.isEnabledFor(logging.INFO):
+        logger.info("covers n=%d: %d read, %.3fs", d.n, len(covers), time.perf_counter() - start)
     return EncodingRecord(
         n=d.n,
         parity=parity,
         s=result.s,
         covers=covers,
-        residual=residual,
+        # A is ascending, so its infeasible members are too
+        residual=tuple(m for m in result.a if not feasible[m]),
     )
 
 
@@ -343,13 +382,16 @@ def decode_even_system(record: EncodingRecord) -> tuple[int, ...]:
     for m in record.residual:
         if m not in residue:
             raise EncodingError(f"residual mask {m} is outside the residue set")
-    infeasible: set[int] = set(record.s)
-    infeasible.update(record.residual)
-    flips = _pair_masks(record.n)
-    for x, cover in zip(record.s, record.covers):
-        certified = certified_flips(cover)
-        infeasible.update(x ^ f for f in flips if f not in certified)
-    return tuple(sorted(infeasible))
+    start = time.perf_counter()
+    s = np.array(record.s, dtype=np.intp)
+    # every neighbour x ^ {a, b} whose pair the cover of x does not certify
+    neighbours = s.reshape(-1, 1) ^ np.array(_pair_masks(record.n))
+    flips = neighbours[~_certified(_block_ids(record.covers, record.n))]
+    infeasible = np.zeros(1 << record.n, dtype=bool)
+    infeasible[s] = infeasible[np.array(record.residual, dtype=np.intp)] = infeasible[flips] = True
+    if logger.isEnabledFor(logging.INFO):
+        logger.info("flips n=%d: %d covers, %.3fs", record.n, len(s), time.perf_counter() - start)
+    return tuple(np.flatnonzero(infeasible).tolist())
 
 
 def reconstruct_system(record: EncodingRecord) -> SetSystem:

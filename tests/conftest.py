@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -26,11 +27,11 @@ from deltamatroid.levels import (
 )
 from deltamatroid.encoding import (
     EncodingError,
+    EncodingRecord,
     KWResult,
     Partition,
     _pair_masks,
     _peel,
-    certified_flips,
     component_alpha,
     even_masks,
 )
@@ -293,11 +294,63 @@ def block_of(p: Partition, element: int) -> frozenset[int]:
 
 
 def cover_certifies(p: Partition, a: int, b: int) -> bool:
-    """True when the cover marks X symmetric-difference {a, b} feasible
-    (see encoding.certified_flips)."""
+    """True when the cover marks X symmetric-difference {a, b} feasible: a
+    and b in two distinct blocks, neither the block holding z (so the cover
+    has at least three blocks)."""
     if a == b or not (1 <= a <= p.n and 1 <= b <= p.n):
         raise EncodingError(f"invalid pair ({a}, {b})")
-    return (1 << (a - 1)) | (1 << (b - 1)) in certified_flips(p)
+    block_a, block_b = block_of(p, a), block_of(p, b)
+    return block_a != block_b and 0 not in block_a and 0 not in block_b
+
+
+def oracle_certified_flips(p: Partition) -> set[int]:
+    """The pair masks that cover_certifies marks, pair by pair."""
+    return {
+        set_to_mask(pair)
+        for pair in combinations(range(1, p.n + 1), 2)
+        if cover_certifies(p, *pair)
+    }
+
+
+def oracle_local_cover(d: SetSystem, x: int) -> Partition:
+    """encoding.local_cover over Python sets, one infeasible even X at a time.
+
+    The pairs {a, b} with X ^ {a, b} feasible must be the bases of a rank-2
+    matroid: a non-loop e's block is the non-loops f with {e, f} not a
+    basis, the loops join z's block, and the distinct blocks must be
+    disjoint and certify exactly the bases.
+    """
+    bases = {
+        set_to_mask(pair)
+        for pair in combinations(range(1, d.n + 1), 2)
+        if d.has_mask(x ^ set_to_mask(pair))
+    }
+    bits = {e: 1 << (e - 1) for e in range(1, d.n + 1)}
+    non_loops = [e for e in bits if any(basis & bits[e] for basis in bases)]
+    classes = sorted(
+        {frozenset(f for f in non_loops if bits[e] | bits[f] not in bases) for e in non_loops},
+        key=min,
+    )
+    # every non-loop is in its own block: the blocks are disjoint iff their sizes add up
+    if sum(map(len, classes)) == len(non_loops):
+        loops = frozenset(bits) - frozenset(non_loops)
+        cover = Partition(d.n, (loops | {0}, *classes))
+        if oracle_certified_flips(cover) == bases:
+            return cover
+    raise EncodingError(
+        "the pairs {a, b} with X ^ {a, b} feasible are not the bases of a rank-2 matroid"
+    )
+
+
+def loop_decode(record: EncodingRecord) -> tuple[int, ...]:
+    """encoding.decode_even_system's family, one cover at a time over Python
+    sets: S, the residual, and each x ^ {a, b} the cover of x does not
+    certify.  The residue check is left to the package."""
+    infeasible = set(record.s) | set(record.residual)
+    for x, cover in zip(record.s, record.covers):
+        certified = oracle_certified_flips(cover)
+        infeasible.update(x ^ f for f in _pair_masks(record.n) if f not in certified)
+    return tuple(sorted(infeasible))
 
 
 # --- compose-kernel oracles --------------------------------------------------

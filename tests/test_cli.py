@@ -420,10 +420,16 @@ class TestEncodeDecode:
         record_path = str(tmp_path / "record.json")
         assert main(["encode", "--in", path, "--out", record_path]) == 0
         capsys.readouterr()
-        for argv in (
-            ["encode", "--in", path],
-            ["decode", "--in", record_path],
-            ["roundtrip", "--in", path],
+        peel = (
+            r"deltamatroid\.encoding: peel n=5: \|S\|=\d+ \(bound \d+\), "
+            r"\|A\|=\d+ \(alpha\*N=\d+\.\d\), \d+\.\d{3}s"
+        )
+        covers = r"deltamatroid\.encoding: covers n=5: \d+ read, \d+\.\d{3}s"
+        flips = r"deltamatroid\.encoding: flips n=5: \d+ covers, \d+\.\d{3}s"
+        for argv, expected in (
+            (["encode", "--in", path], [peel, covers]),
+            (["decode", "--in", record_path], [peel, flips]),
+            (["roundtrip", "--in", path], [peel, covers, peel, flips]),
         ):
             assert main(["--format", fmt, *argv]) == 0
             quiet = capsys.readouterr()
@@ -432,13 +438,9 @@ class TestEncodeDecode:
             assert verbose.out == quiet.out, argv
             assert quiet.err == ""
             lines = verbose.err.splitlines()
-            assert lines, argv
-            for line in lines:
-                assert re.fullmatch(
-                    r"deltamatroid\.encoding: peel n=5: \|S\|=\d+ \(bound \d+\), "
-                    r"\|A\|=\d+ \(alpha\*N=\d+\.\d\), \d+\.\d{3}s",
-                    line,
-                ), line
+            assert len(lines) == len(expected), argv
+            for line, pattern in zip(lines, expected):
+                assert re.fullmatch(pattern, line), line
 
     def test_encode_rejects_mixed_parity(self, tmp_path, capsys):
         path = write_system(tmp_path / "odd.json", SetSystem.from_sets(3, [[], [1]]))

@@ -46,6 +46,7 @@ from deltamatroid.encoding import (
     load_record,
     loads_record,
     local_cover,
+    local_covers,
     reconstruct_system,
     s_length_bound,
     upper_bound_report,
@@ -59,7 +60,10 @@ from tests.conftest import (
     distance_two_matrix_identity,
     kw_encode,
     list_scan_peel,
+    loop_decode,
     numeric_least_eigenvalue,
+    oracle_certified_flips,
+    oracle_local_cover,
     single_block_partition,
     tamper_record,
 )
@@ -297,6 +301,15 @@ class TestPartition:
             block_of(p, 5)
 
 
+def _has_cover(d: SetSystem, x: int) -> bool:
+    """Whether the set-based oracle finds a sound local cover at X."""
+    try:
+        oracle_local_cover(d, x)
+    except EncodingError:
+        return False
+    return True
+
+
 class TestLocalCover:
     def test_worked_example(self):
         d = SetSystem.from_sets(4, [[]])
@@ -318,6 +331,16 @@ class TestLocalCover:
         d = SetSystem.from_sets(4, sets)
         with pytest.raises(EncodingError, match="not the bases of a rank-2 matroid"):
             local_cover(d, 0)
+        # the same sets on six elements: the empty set's flawed neighbourhood
+        # is refused among sets whose covers are sound
+        d = SetSystem.from_sets(6, sets)
+        valid = tuple(x for x in even_masks(6)[1:] if not d.has_mask(x) and _has_cover(d, x))
+        covers = tuple(oracle_local_cover(d, x) for x in valid)
+        assert any(len(cover.blocks) > 1 for cover in covers)
+        assert local_covers(d, valid) == covers
+        for xs in (valid + (0,), (0,) + valid, valid[:3] + (0,) + valid[3:]):
+            with pytest.raises(EncodingError, match="not the bases of a rank-2 matroid"):
+                local_covers(d, xs)
 
     def test_far_sets_give_single_block(self):
         d = SetSystem.from_sets(4, [[]])
@@ -356,8 +379,9 @@ class TestLocalCover:
 
     def test_exhaustive_classification_small(self, levels5):
         # every infeasible even X of every even delta-matroid on 2..5
-        # elements, twisted to all-even: the cover certifies exactly the
-        # pairs {a, b} with X ^ {a, b} feasible
+        # elements, twisted to all-even, in one batch per system: the covers
+        # equal the set-based oracle's, and each certifies exactly the pairs
+        # {a, b} with X ^ {a, b} feasible
         for n in (2, 3, 4, 5):
             pairs = _pair_masks(n)
             v = levels5[n].vectors
@@ -366,10 +390,12 @@ class TestLocalCover:
                 s = SetSystem(n, bits)
                 if popcount(next(s.feasible_masks())) & 1:
                     s = twist(s, 1)
-                for x in even_masks(n):
-                    if not s.has_mask(x):
-                        flips = {f for f in pairs if s.has_mask(x ^ f)}
-                        assert certified_flips(local_cover(s, x)) == flips, (bits, x)
+                xs = tuple(x for x in even_masks(n) if not s.has_mask(x))
+                covers = local_covers(s, xs)
+                assert covers == tuple(oracle_local_cover(s, x) for x in xs), bits
+                for x, cover in zip(xs, covers):
+                    flips = {f for f in pairs if s.has_mask(x ^ f)}
+                    assert certified_flips(cover) == flips == oracle_certified_flips(cover), (bits, x)
 
 
 class TestRecords:
@@ -462,6 +488,8 @@ class TestRecords:
         (8, 1, "04c77ffa9d7c2e66cd913d3a2af6df482fb8c13b8db9958b8dc312c94b054e71"),
         (10, 0, "09491728f610ec3ddbb223907081632d0ce86b7d8ebec62130090c9d0c4c13b6"),
         (10, 1, "ec570055f42f7448603fb772ea45c75eccfe8ab227ab1504131d661950addd83"),
+        (12, 0, "7b2001efa91747fcc05faaea472e785e54c38ab4ce8b6aa456c823db69dbdcc9"),
+        (13, 0, "5e1f2742ceed39393e2f5adf0fe1de917284ad3c695ccf2d7f919458a370118b"),
         (14, 0, "7b30e1cdcad064d26a8c6fe019c1f8fa66521d03afd3aeb6374938af9d1d14ec"),
         (16, 0, "cdb5a245c60a79c1cff5865d72fbfbcc7eb85423b2633b8fae9df9da6e69f1d6"),
     ])
@@ -469,6 +497,22 @@ class TestRecords:
         d = stacked_even_delta_matroid(n, random_stacked_layers(n, seed))
         text = dumps_record(encode_even_system(d))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_all_odd_record_bytes_pinned(self):
+        d = twist(stacked_even_delta_matroid(9, random_stacked_layers(9, 0)), 1)
+        record = encode_even_system(d)
+        assert record.parity is Parity.ODD
+        digest = hashlib.sha256(dumps_record(record).encode("utf-8")).hexdigest()
+        assert digest == "f0987d4fdd3803fedbc05fc6f195a0234df1ea62ecad15b5985e97d9de2dd6af"
+
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_covers_and_decode_match_oracles(self, n):
+        # the batched covers and flips against one cover at a time over sets
+        d = stacked_even_delta_matroid(n, random_stacked_layers(n, 0))
+        record = encode_even_system(d)
+        assert record.s
+        assert record.covers == tuple(oracle_local_cover(d, x) for x in record.s)
+        assert decode_even_system(record) == loop_decode(record)
 
     def test_record_invariants(self):
         with pytest.raises(EncodingError):
@@ -479,6 +523,10 @@ class TestRecords:
                 4, Parity.EVEN,
                 too_many, tuple(single_block_partition(4) for _ in too_many), (),
             )
+        for m in (3, 5):
+            # a cover over another ground set would decode to other flips
+            with pytest.raises(EncodingError, match="every cover must be over n=4"):
+                EncodingRecord(4, Parity.EVEN, (0b0011,), (single_block_partition(m),), ())
 
     def test_decode_rejects_residual_outside_residue(self):
         d = stacked_even_delta_matroid(5, random_stacked_layers(5, 3))
