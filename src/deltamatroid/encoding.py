@@ -4,11 +4,13 @@ The even-size subsets of {1..n} form one component of the distance-2 graph
 of the hypercube; infeasible even sets of an even delta-matroid are a
 vertex subset L of that component.  A container-style peeling procedure
 (Kleitman-Winston) shrinks the graph to a small residue A while extracting
-a short list S of L-vertices; each member of S carries a "local cover"
-partition from which the feasibility of all its distance-2 neighbours can
-be read back.  S, the covers, and the verbatim list of L inside A suffice
-to reconstruct L exactly, and counting the possible records yields an
-upper bound on the number of even delta-matroids.
+a short list S of L-vertices; each member of S carries a "local cover",
+a partition of the ground set plus a point z from which the feasibility of
+all its distance-2 neighbours can be read back.  A cover is held as its
+block-id row: entry e (z = 0) is the lowest element of e's block.  S, the
+covers, and the verbatim list of L inside A suffice to reconstruct L
+exactly, and counting the possible records yields an upper bound on the
+number of even delta-matroids.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 
 import numpy as np
 
@@ -44,10 +46,6 @@ logger = logging.getLogger(__name__)
 
 class EncodingError(ValueError):
     """Invalid input to the encoding machinery."""
-
-
-class InconsistentPrefixError(EncodingError):
-    """A claimed peeling prefix S cannot be replayed on the graph."""
 
 
 class Parity(Enum):
@@ -90,14 +88,9 @@ def _feasibility_bytes(d: SetSystem) -> bytes:
 
 # --- the peeling procedure -----------------------------------------------------
 
-@dataclass(frozen=True)
-class KWResult:
-    s: tuple[int, ...]
-    a: tuple[int, ...]
-
-
-def _peel(n: int, members: set[int]) -> KWResult:
-    """Peel the halved cube on n elements against the vertex set ``members``.
+def _peel(n: int, members: set[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Peel the halved cube on n elements against the vertex set ``members``
+    and return the selection S and the residue A.
 
     At each step the highest-degree vertex of the surviving induced
     subgraph is examined (ties to the smallest mask).  A member is appended
@@ -143,7 +136,7 @@ def _peel(n: int, members: set[int]) -> KWResult:
             n, len(s), s_length_bound(n), len(a),
             float(component_alpha(n) * count), time.perf_counter() - start,
         )
-    return KWResult(tuple(s), a)
+    return tuple(s), a
 
 
 def kw_reconstruct(n: int, s: tuple[int, ...]) -> tuple[int, ...]:
@@ -153,12 +146,10 @@ def kw_reconstruct(n: int, s: tuple[int, ...]) -> tuple[int, ...]:
     from some L; so the residue is independent of which L produced S, and
     the record does not need to transmit it.
     """
-    result = _peel(n, set(s))
-    if result.s != tuple(s):
-        raise InconsistentPrefixError(
-            "the claimed selection is not reproduced by peeling against it"
-        )
-    return result.a
+    selected, a = _peel(n, set(s))
+    if selected != tuple(s):
+        raise EncodingError("the claimed selection is not reproduced by peeling against it")
+    return a
 
 
 def s_length_bound(n: int) -> int:
@@ -193,37 +184,16 @@ def component_sigma(n: int) -> Fraction:
 
 # --- local covers ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Partition:
-    """Partition of {0, 1, ..., n}, where 0 stands for the extra point z."""
-
-    n: int
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise EncodingError("empty block")
-            if block & seen:
-                raise EncodingError("blocks are not disjoint")
-            seen |= block
-        if seen != set(range(self.n + 1)):
-            raise EncodingError(f"blocks do not cover 0..{self.n}")
-
-    def sorted_blocks(self) -> list[list[int]]:
-        return sorted(sorted(b) for b in self.blocks)
-
-
 def _lowest_mask(d: SetSystem) -> int:
     """The smallest feasible mask, without listing the feasible sets."""
     return (d.bits & -d.bits).bit_length() - 1
 
 
-def local_covers(d: SetSystem, xs: tuple[int, ...]) -> tuple[Partition, ...]:
+def local_covers(d: SetSystem, xs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The local cover of each infeasible even set X in ``xs``: a partition
     of the ground set plus z recording which sets X symmetric-difference
-    {a, b} are feasible.
+    {a, b} are feasible, as its block-id row of length n + 1 naming each
+    of 0..n (z = 0) by the lowest element of its block.
 
     The twist D*X is even with no empty set, so its minimum feasible sets
     have size 2 exactly when some distance-2 neighbour X ^ {a, b} is
@@ -259,18 +229,7 @@ def local_covers(d: SetSystem, xs: tuple[int, ...]) -> tuple[Partition, ...]:
         raise EncodingError(
             "the pairs {a, b} with X ^ {a, b} feasible are not the bases of a rank-2 matroid"
         )
-    covers = []
-    for row in ids.tolist():
-        blocks: dict[int, list[int]] = {}
-        for e, block in enumerate(row):
-            blocks.setdefault(block, []).append(e)
-        covers.append(Partition(n, tuple(map(frozenset, blocks.values()))))
-    return tuple(covers)
-
-
-def local_cover(d: SetSystem, x: int) -> Partition:
-    """The local cover of the one infeasible even set X (see local_covers)."""
-    return local_covers(d, (x,))[0]
+    return tuple(map(tuple, ids.tolist()))
 
 
 @functools.lru_cache(maxsize=4)
@@ -278,18 +237,6 @@ def _pair_elements(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The elements a < b of each pair of _pair_masks(n), numbered from 1."""
     pairs = np.array(list(combinations(range(1, n + 1), 2)), dtype=np.intp).reshape(-1, 2)
     return pairs[:, 0], pairs[:, 1]
-
-
-def _block_ids(covers: tuple[Partition, ...], n: int) -> np.ndarray:
-    """One row per cover naming each of 0..n by the lowest element of its
-    block, so z's block is 0."""
-    rows = [[0] * (n + 1) for _ in covers]
-    for row, cover in zip(rows, covers):
-        for block in cover.blocks:
-            low = min(block)
-            for e in block:
-                row[e] = low
-    return np.array(rows, dtype=np.intp).reshape(len(covers), n + 1)
 
 
 def _certified(ids: np.ndarray) -> np.ndarray:
@@ -300,37 +247,35 @@ def _certified(ids: np.ndarray) -> np.ndarray:
     return (a != b) & (a != 0) & (b != 0)
 
 
-def certified_flips(p: Partition) -> frozenset[int]:
-    """The pair masks {a, b} for which the cover marks X symmetric-difference
-    {a, b} feasible: at least three blocks and a, b in two distinct blocks,
-    neither the block holding z."""
-    return frozenset(compress(_pair_masks(p.n), _certified(_block_ids((p,), p.n))[0].tolist()))
-
-
 # --- whole-system records -------------------------------------------------------
 
 @dataclass(frozen=True)
 class EncodingRecord:
     """Everything needed to reconstruct an even delta-matroid.
 
-    ``s`` is the ordered peeling selection, ``covers`` one partition per
-    member of s, ``residual`` the infeasible even sets surviving in the
-    residue A, ascending.  ``parity`` records whether the original system
-    was twisted by {1} to make all sizes even.  The peeling parameters
-    alpha and sigma are functions of n.
+    ``s`` is the ordered peeling selection, ``covers`` one block-id row
+    per member of s (see local_covers), ``residual`` the infeasible even
+    sets surviving in the residue A, ascending.  ``parity`` records whether
+    the original system was twisted by {1} to make all sizes even.  The
+    peeling parameters alpha and sigma are functions of n.
     """
 
     n: int
     parity: Parity
     s: tuple[int, ...]
-    covers: tuple[Partition, ...]
+    covers: tuple[tuple[int, ...], ...]
     residual: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.s) != len(self.covers):
             raise EncodingError("one cover required per selected vertex")
-        if any(cover.n != self.n for cover in self.covers):
-            raise EncodingError(f"every cover must be over n={self.n}")
+        # a row names a partition exactly when each entry is the lowest
+        # element holding its value
+        for row in self.covers:
+            if len(row) != self.n + 1 or any(
+                not 0 <= low <= e or row[low] != low for e, low in enumerate(row)
+            ):
+                raise EncodingError(f"every cover must be a block-id row over 0..{self.n}")
         if len(self.s) > s_length_bound(self.n):
             raise EncodingError("selection exceeds its guaranteed length bound")
         if any(a >= b for a, b in zip(self.residual, self.residual[1:])):
@@ -361,18 +306,18 @@ def encode_even_system(d: SetSystem) -> EncodingRecord:
         parity = Parity.ODD
         d = twist(d, 1)
     feasible = _feasibility_bytes(d)
-    result = _peel(d.n, {m for m in even_masks(d.n) if not feasible[m]})
+    s, a = _peel(d.n, {m for m in even_masks(d.n) if not feasible[m]})
     start = time.perf_counter()
-    covers = local_covers(d, result.s)
+    covers = local_covers(d, s)
     if logger.isEnabledFor(logging.INFO):
         logger.info("covers n=%d: %d read, %.3fs", d.n, len(covers), time.perf_counter() - start)
     return EncodingRecord(
         n=d.n,
         parity=parity,
-        s=result.s,
+        s=s,
         covers=covers,
         # A is ascending, so its infeasible members are too
-        residual=tuple(m for m in result.a if not feasible[m]),
+        residual=tuple(m for m in a if not feasible[m]),
     )
 
 
@@ -386,7 +331,8 @@ def decode_even_system(record: EncodingRecord) -> tuple[int, ...]:
     s = np.array(record.s, dtype=np.intp)
     # every neighbour x ^ {a, b} whose pair the cover of x does not certify
     neighbours = s.reshape(-1, 1) ^ np.array(_pair_masks(record.n))
-    flips = neighbours[~_certified(_block_ids(record.covers, record.n))]
+    ids = np.array(record.covers, dtype=np.intp).reshape(len(s), record.n + 1)
+    flips = neighbours[~_certified(ids)]
     infeasible = np.zeros(1 << record.n, dtype=bool)
     infeasible[s] = infeasible[np.array(record.residual, dtype=np.intp)] = infeasible[flips] = True
     if logger.isEnabledFor(logging.INFO):
@@ -410,6 +356,15 @@ def reconstruct_system(record: EncodingRecord) -> SetSystem:
 
 # --- record serialization -------------------------------------------------------
 
+def _blocks(row: tuple[int, ...]) -> list[list[int]]:
+    """The blocks a block-id row names, each ascending, in ascending order
+    of their lowest element."""
+    blocks: dict[int, list[int]] = {}
+    for e, low in enumerate(row):
+        blocks.setdefault(low, []).append(e)
+    return list(blocks.values())
+
+
 def record_to_dict(record: EncodingRecord) -> dict:
     return {
         "n": record.n,
@@ -417,7 +372,7 @@ def record_to_dict(record: EncodingRecord) -> dict:
         "alpha": str(record.alpha),
         "sigma": str(record.sigma),
         "s": list(record.s),
-        "covers": [cover.sorted_blocks() for cover in record.covers],
+        "covers": [_blocks(row) for row in record.covers],
         "residual": list(record.residual),
     }
 
@@ -432,14 +387,20 @@ def record_from_dict(doc: object) -> EncodingRecord:
         s, covers, residual = doc["s"], doc["covers"], doc["residual"]
         if len(s) > s_length_bound(n) or len(covers) != len(s) or len(residual) > 1 << (n - 1):
             raise SystemFormatError(f"'s', 'covers' or 'residual' too long for n={n}, or unpaired")
+        # an element left out keeps its own id and one listed twice takes the
+        # later block's; require_as_written refuses both below
+        rows = []
+        for blocks in covers:
+            row = list(range(n + 1))
+            for block in blocks:
+                low = min(block)
+                for e in block:
+                    row[e] = low
+            rows.append(tuple(row))
         record = EncodingRecord(
-            n,
-            Parity(doc["parity"]),
-            tuple(map(int, s)),
-            tuple(Partition(n, tuple(frozenset(map(int, b)) for b in c)) for c in covers),
-            tuple(map(int, residual)),
+            n, Parity(doc["parity"]), tuple(map(int, s)), tuple(rows), tuple(map(int, residual))
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise SystemFormatError(f"bad record document: {exc}") from None
     require_as_written(doc, record_to_dict(record))
     return record

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterator
 
 import numpy as np
@@ -28,12 +28,12 @@ from deltamatroid.levels import (
 from deltamatroid.encoding import (
     EncodingError,
     EncodingRecord,
-    KWResult,
-    Partition,
+    _certified,
     _pair_masks,
     _peel,
     component_alpha,
     even_masks,
+    local_covers,
 )
 from deltamatroid.setsystem import (
     ImproperSystemError,
@@ -282,38 +282,53 @@ def cut_bound_certifies(n: int, eps: Fraction | float | str) -> bool:
     return cut_count_lower_bound_exact(n) >= target
 
 
-def single_block_partition(n: int) -> Partition:
-    return Partition(n, (frozenset(range(n + 1)),))
+def local_cover(d: SetSystem, x: int) -> tuple[int, ...]:
+    """The block-id row of the one infeasible even X, by the package's
+    batched local_covers."""
+    return local_covers(d, (x,))[0]
 
 
-def block_of(p: Partition, element: int) -> frozenset[int]:
-    for block in p.blocks:
-        if element in block:
-            return block
-    raise EncodingError(f"element {element} not covered")
+def certified_flips(row: tuple[int, ...]) -> frozenset[int]:
+    """The pair masks {a, b} that a block-id row certifies, by the package's
+    batched rule."""
+    return frozenset(compress(_pair_masks(len(row) - 1), _certified(np.array([row]))[0].tolist()))
 
 
-def cover_certifies(p: Partition, a: int, b: int) -> bool:
+def single_block_partition(n: int) -> tuple[int, ...]:
+    """The block-id row of the one-block partition of 0..n."""
+    return (0,) * (n + 1)
+
+
+def block_of(row: tuple[int, ...], element: int) -> frozenset[int]:
+    """The elements of 0..n sharing element's entry in a block-id row."""
+    if not 0 <= element < len(row):
+        raise EncodingError(f"element {element} not covered")
+    return frozenset(f for f, low in enumerate(row) if low == row[element])
+
+
+def cover_certifies(row: tuple[int, ...], a: int, b: int) -> bool:
     """True when the cover marks X symmetric-difference {a, b} feasible: a
     and b in two distinct blocks, neither the block holding z (so the cover
     has at least three blocks)."""
-    if a == b or not (1 <= a <= p.n and 1 <= b <= p.n):
+    n = len(row) - 1
+    if a == b or not (1 <= a <= n and 1 <= b <= n):
         raise EncodingError(f"invalid pair ({a}, {b})")
-    block_a, block_b = block_of(p, a), block_of(p, b)
+    block_a, block_b = block_of(row, a), block_of(row, b)
     return block_a != block_b and 0 not in block_a and 0 not in block_b
 
 
-def oracle_certified_flips(p: Partition) -> set[int]:
+def oracle_certified_flips(row: tuple[int, ...]) -> set[int]:
     """The pair masks that cover_certifies marks, pair by pair."""
     return {
         set_to_mask(pair)
-        for pair in combinations(range(1, p.n + 1), 2)
-        if cover_certifies(p, *pair)
+        for pair in combinations(range(1, len(row)), 2)
+        if cover_certifies(row, *pair)
     }
 
 
-def oracle_local_cover(d: SetSystem, x: int) -> Partition:
-    """encoding.local_cover over Python sets, one infeasible even X at a time.
+def oracle_local_cover(d: SetSystem, x: int) -> tuple[int, ...]:
+    """encoding.local_covers over Python sets, one infeasible even X at a
+    time, as a block-id row.
 
     The pairs {a, b} with X ^ {a, b} feasible must be the bases of a rank-2
     matroid: a non-loop e's block is the non-loops f with {e, f} not a
@@ -327,16 +342,18 @@ def oracle_local_cover(d: SetSystem, x: int) -> Partition:
     }
     bits = {e: 1 << (e - 1) for e in range(1, d.n + 1)}
     non_loops = [e for e in bits if any(basis & bits[e] for basis in bases)]
-    classes = sorted(
-        {frozenset(f for f in non_loops if bits[e] | bits[f] not in bases) for e in non_loops},
-        key=min,
-    )
+    classes = {
+        frozenset(f for f in non_loops if bits[e] | bits[f] not in bases) for e in non_loops
+    }
     # every non-loop is in its own block: the blocks are disjoint iff their sizes add up
     if sum(map(len, classes)) == len(non_loops):
-        loops = frozenset(bits) - frozenset(non_loops)
-        cover = Partition(d.n, (loops | {0}, *classes))
-        if oracle_certified_flips(cover) == bases:
-            return cover
+        # z and the loops keep the id 0
+        row = [0] * (d.n + 1)
+        for block in classes:
+            for e in block:
+                row[e] = min(block)
+        if oracle_certified_flips(tuple(row)) == bases:
+            return tuple(row)
     raise EncodingError(
         "the pairs {a, b} with X ^ {a, b} feasible are not the bases of a rank-2 matroid"
     )
@@ -458,8 +475,9 @@ def oracle_classes(cache: LevelCache) -> tuple[list[int], list[int]]:
     return reps, sizes
 
 
-def kw_encode(n: int, l_set) -> KWResult:
-    """Run the peeling procedure against a target set L of even masks.
+def kw_encode(n: int, l_set) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Run the peeling procedure against a target set L of even masks and
+    return the selection S and the residue A.
 
     Postconditions: S is a subsequence of L; every L-vertex is in S, a
     neighbour of S, or the residue A; |A| <= alpha * N.
@@ -471,7 +489,7 @@ def kw_encode(n: int, l_set) -> KWResult:
     return _peel(n, members)
 
 
-def list_scan_peel(n: int, members: set[int]) -> KWResult:
+def list_scan_peel(n: int, members: set[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The peel of ``encoding._peel`` written over Python lists, one vertex
     removed at a time, with a linear scan for the maximum degree.
 
@@ -512,7 +530,7 @@ def list_scan_peel(n: int, members: set[int]) -> KWResult:
         else:
             remove(mask)
     a = tuple(m for m in vertices if degree[m >> 1] >= 0)
-    return KWResult(tuple(s), a)
+    return tuple(s), a
 
 
 RECORD_TAMPERS = (
@@ -528,16 +546,23 @@ RECORD_TAMPERS = (
     "unsorted-block",
     "reordered-blocks",
     "extra-field",
+    "missing-element",
+    "overlapping-blocks",
+    "empty-block",
+    "negative-element",
+    "element-past-n",
 )
 
 
 def tamper_record(doc: dict, how: str) -> dict:
-    """A copy of a record document rewritten so that a parser coercing with
-    int(), frozenset() or Fraction(), or reading the residual and the cover
-    blocks as sets, would read back the same system.
+    """A copy of a record document rewritten so that it is not the writer's
+    own output.  Most rewrites would read back as the same system to a parser
+    coercing with int(), frozenset() or Fraction(), or reading the residual
+    and the cover blocks as sets; the last five leave a cover naming no
+    partition of 0..n.
 
-    Needs a record with a non-empty selection, at least two residual masks
-    and a cover block of two or more elements.
+    Needs a record with a non-empty selection, at least two residual masks,
+    a cover of two or more blocks and a cover block of two or more elements.
     """
     doc = json.loads(json.dumps(doc))
     if how == "float-mask":
@@ -559,12 +584,24 @@ def tamper_record(doc: dict, how: str) -> dict:
         doc["covers"][0].reverse()
     elif how == "extra-field":
         doc["note"] = "x"
+    elif how == "missing-element":
+        next(b for cover in doc["covers"] for b in cover if len(b) > 1).pop()
+    elif how == "overlapping-blocks":
+        first, second = next(cover for cover in doc["covers"] if len(cover) > 1)[:2]
+        first[:] = sorted(first + second[:1])
+    elif how == "empty-block":
+        doc["covers"][0].append([])
     else:
         block = next(b for b in doc["covers"][0] if 1 in b)
         if how == "repeated-element":
             block.append(1)
         else:
-            block[block.index(1)] = {"float-element": 1.0, "bool-element": True}[how]
+            block[block.index(1)] = {
+                "float-element": 1.0,
+                "bool-element": True,
+                "negative-element": -1,
+                "element-past-n": doc["n"] + 1,
+            }[how]
     return doc
 
 

@@ -32,7 +32,6 @@ from deltamatroid.encoding import (
     encode_even_system,
     even_masks,
     kw_reconstruct,
-    local_cover,
     s_length_bound,
     upper_bound_report,
 )
@@ -41,6 +40,7 @@ from tests.conftest import (
     cover_certifies,
     distance_two_matrix_identity,
     kw_encode,
+    local_cover,
     numeric_least_eigenvalue,
     oracle_is_delta_matroid,
 )
@@ -209,19 +209,19 @@ def test_ac08_container_properties():
         for _ in range(500):
             density = rng.random()
             l_set = {v for v in vertices if rng.random() < density}
-            result = kw_encode(n, l_set)
-            covered = set(result.s) | set(result.a)
-            for m in result.s:
+            s, a = kw_encode(n, l_set)
+            covered = set(s) | set(a)
+            for m in s:
                 covered.update(m ^ f for f in _pair_masks(n))
-            if not set(result.s) <= l_set:
+            if not set(s) <= l_set:
                 failures += 1
             elif not l_set <= covered:
                 failures += 1
-            elif len(result.a) > alpha * len(vertices):
+            elif len(a) > alpha * len(vertices):
                 failures += 1
-            elif len(result.s) > bound:
+            elif len(s) > bound:
                 failures += 1
-            elif kw_reconstruct(n, result.s) != result.a:
+            elif kw_reconstruct(n, s) != a:
                 failures += 1
     report(
         "8 container-procedure properties",

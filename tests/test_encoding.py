@@ -12,6 +12,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltamatroid.setsystem import (
     SetSystem,
@@ -28,14 +29,10 @@ from deltamatroid.encoding import (
     BoundReport,
     EncodingError,
     EncodingRecord,
-    InconsistentPrefixError,
-    KWResult,
     Parity,
-    Partition,
     _pair_masks,
     _peel,
     bell_number,
-    certified_flips,
     component_alpha,
     component_sigma,
     decode_even_system,
@@ -45,7 +42,6 @@ from deltamatroid.encoding import (
     kw_reconstruct,
     load_record,
     loads_record,
-    local_cover,
     local_covers,
     reconstruct_system,
     s_length_bound,
@@ -55,11 +51,13 @@ from tests.conftest import (
     RECORD_TAMPERS,
     block_of,
     cache_systems,
+    certified_flips,
     cover_certifies,
     cube_adjacency_matrix,
     distance_two_matrix_identity,
     kw_encode,
     list_scan_peel,
+    local_cover,
     loop_decode,
     numeric_least_eigenvalue,
     oracle_certified_flips,
@@ -159,37 +157,37 @@ class TestSpectrum:
 
 class TestPeeling:
     @staticmethod
-    def check_postconditions(n: int, l_set: set[int], result: KWResult):
-        assert set(result.s) <= l_set
-        covered = set(result.s) | set(result.a)
-        for m in result.s:
+    def check_postconditions(n: int, l_set: set[int], s: tuple[int, ...], a: tuple[int, ...]):
+        assert set(s) <= l_set
+        covered = set(s) | set(a)
+        for m in s:
             covered.update(m ^ f for f in _pair_masks(n))
         assert l_set <= covered
-        assert len(result.a) <= component_alpha(n) * (1 << (n - 1))
+        assert len(a) <= component_alpha(n) * (1 << (n - 1))
 
     def test_empty_target(self):
         alpha = component_alpha(5)
-        result = kw_encode(5, set())
-        assert result.s == ()
+        s, a = kw_encode(5, set())
+        assert s == ()
         expected_removals = math.ceil((1 - alpha) * 16)
-        assert len(result.a) == 16 - expected_removals
-        assert kw_reconstruct(5, ()) == result.a
+        assert len(a) == 16 - expected_removals
+        assert kw_reconstruct(5, ()) == a
 
     def test_full_target(self):
         l_set = set(even_masks(5))
-        result = kw_encode(5, l_set)
-        self.check_postconditions(5, l_set, result)
-        assert len(result.s) <= s_length_bound(5)
+        s, a = kw_encode(5, l_set)
+        self.check_postconditions(5, l_set, s, a)
+        assert len(s) <= s_length_bound(5)
 
     def test_random_targets_many_sizes(self):
         rng = random.Random(424242)
         for n in (5, 6, 7):
             for _ in range(60):
                 l_set = {v for v in even_masks(n) if rng.random() < rng.random()}
-                result = kw_encode(n, l_set)
-                self.check_postconditions(n, l_set, result)
-                assert len(result.s) <= s_length_bound(n)
-                assert kw_reconstruct(n, result.s) == result.a
+                s, a = kw_encode(n, l_set)
+                self.check_postconditions(n, l_set, s, a)
+                assert len(s) <= s_length_bound(n)
+                assert kw_reconstruct(n, s) == a
 
     def test_target_must_be_vertices(self):
         with pytest.raises(EncodingError):
@@ -200,33 +198,30 @@ class TestPeeling:
             kw_encode(4, {-3})
 
     def test_reconstruct_rejects_reordered_s(self):
-        result = kw_encode(6, set(even_masks(6)))
-        assert len(result.s) >= 2
-        swapped = (result.s[1], result.s[0], *result.s[2:])
-        with pytest.raises(InconsistentPrefixError):
+        s, _ = kw_encode(6, set(even_masks(6)))
+        assert len(s) >= 2
+        swapped = (s[1], s[0], *s[2:])
+        with pytest.raises(EncodingError, match="not reproduced"):
             kw_reconstruct(6, swapped)
 
     def test_reconstruct_rejects_unreachable_claim(self):
         # appending a vertex that the replay removes as someone's neighbour
         # (it never shows up as a max-degree pick) cannot be selected
-        result = kw_encode(6, set(even_masks(6)))
+        s, a = kw_encode(6, set(even_masks(6)))
         # L is every vertex, so each examined vertex was selected into S
-        examined = set(result.s)
-        swallowed = next(
-            v for v in even_masks(6) if v not in examined and v not in result.a
-        )
-        with pytest.raises(InconsistentPrefixError):
-            kw_reconstruct(6, result.s + (swallowed,))
+        swallowed = next(v for v in even_masks(6) if v not in s and v not in a)
+        with pytest.raises(EncodingError, match="not reproduced"):
+            kw_reconstruct(6, s + (swallowed,))
 
     def test_identical_s_gives_identical_a(self):
         rng = random.Random(7)
         by_s: dict[tuple[int, ...], tuple[int, ...]] = {}
         for _ in range(200):
             l_set = {v for v in even_masks(6) if rng.random() < 0.1}
-            result = kw_encode(6, l_set)
-            if result.s in by_s:
-                assert by_s[result.s] == result.a
-            by_s[result.s] = result.a
+            s, a = kw_encode(6, l_set)
+            if s in by_s:
+                assert by_s[s] == a
+            by_s[s] = a
         assert len(by_s) < 200  # collisions actually occurred
 
     def test_alpha_and_length_values(self):
@@ -283,24 +278,6 @@ class TestPeelOracle:
         assert _peel(n, target) == list_scan_peel(n, target)
 
 
-class TestPartition:
-    def test_validation(self):
-        with pytest.raises(EncodingError):
-            Partition(2, (frozenset({0, 1}),))  # misses 2
-        with pytest.raises(EncodingError):
-            Partition(2, (frozenset({0, 1, 2}), frozenset({2}),))
-        with pytest.raises(EncodingError):
-            Partition(2, (frozenset({0, 1, 2}), frozenset(),))
-        p = single_block_partition(3)
-        assert p.sorted_blocks() == [[0, 1, 2, 3]]
-
-    def test_block_of(self):
-        p = Partition(2, (frozenset({0, 2}), frozenset({1})))
-        assert block_of(p, 1) == frozenset({1})
-        with pytest.raises(EncodingError):
-            block_of(p, 5)
-
-
 def _has_cover(d: SetSystem, x: int) -> bool:
     """Whether the set-based oracle finds a sound local cover at X."""
     try:
@@ -314,7 +291,7 @@ class TestLocalCover:
     def test_worked_example(self):
         d = SetSystem.from_sets(4, [[]])
         p = local_cover(d, 0b0011)
-        assert p.sorted_blocks() == [[0, 3, 4], [1], [2]]
+        assert p == (0, 1, 2, 0, 0)  # blocks {0, 3, 4}, {1}, {2}
         # only removing both marked elements reaches the feasible empty set
         assert cover_certifies(p, 1, 2)
         for a, b in combinations(range(1, 5), 2):
@@ -336,7 +313,7 @@ class TestLocalCover:
         d = SetSystem.from_sets(6, sets)
         valid = tuple(x for x in even_masks(6)[1:] if not d.has_mask(x) and _has_cover(d, x))
         covers = tuple(oracle_local_cover(d, x) for x in valid)
-        assert any(len(cover.blocks) > 1 for cover in covers)
+        assert any(len(set(cover)) > 1 for cover in covers)
         assert local_covers(d, valid) == covers
         for xs in (valid + (0,), (0,) + valid, valid[:3] + (0,) + valid[3:]):
             with pytest.raises(EncodingError, match="not the bases of a rank-2 matroid"):
@@ -344,8 +321,7 @@ class TestLocalCover:
 
     def test_far_sets_give_single_block(self):
         d = SetSystem.from_sets(4, [[]])
-        p = local_cover(d, 0b1111)
-        assert len(p.blocks) == 1
+        assert local_cover(d, 0b1111) == single_block_partition(4)
 
     def test_input_validation(self):
         d = SetSystem.from_sets(4, [[]])
@@ -366,13 +342,16 @@ class TestLocalCover:
             cover_certifies(p, 0, 2)
         with pytest.raises(EncodingError):
             cover_certifies(p, 1, 5)
+        with pytest.raises(EncodingError):
+            block_of(p, 5)
 
     def test_certifies_examples(self):
         assert not cover_certifies(single_block_partition(4), 1, 2)
-        p = Partition(4, (frozenset({0}), frozenset({1}), frozenset({2, 3, 4})))
+        p = (0, 1, 2, 2, 2)  # blocks {0}, {1}, {2, 3, 4}
         assert cover_certifies(p, 1, 2)
         assert not cover_certifies(p, 2, 3)
-        q = Partition(4, (frozenset({0, 3}), frozenset({1, 2}), frozenset({4})))
+        q = (0, 1, 1, 0, 4)  # blocks {0, 3}, {1, 2}, {4}
+        assert block_of(q, 1) == block_of(q, 2) == frozenset({1, 2})
         assert not cover_certifies(q, 1, 2)  # same block
         assert not cover_certifies(q, 3, 4)  # z-block member
         assert cover_certifies(q, 1, 4)
@@ -396,6 +375,13 @@ class TestLocalCover:
                 for x, cover in zip(xs, covers):
                     flips = {f for f in pairs if s.has_mask(x ^ f)}
                     assert certified_flips(cover) == flips == oracle_certified_flips(cover), (bits, x)
+
+
+def labellings(low: int, extra: int):
+    """Lists of n + 1 ints in low..n + extra, for n = 2..16."""
+    return st.integers(2, 16).flatmap(
+        lambda n: st.lists(st.integers(low, n + extra), min_size=n + 1, max_size=n + 1)
+    )
 
 
 class TestRecords:
@@ -525,8 +511,38 @@ class TestRecords:
             )
         for m in (3, 5):
             # a cover over another ground set would decode to other flips
-            with pytest.raises(EncodingError, match="every cover must be over n=4"):
+            with pytest.raises(EncodingError, match="block-id row over 0..4"):
                 EncodingRecord(4, Parity.EVEN, (0b0011,), (single_block_partition(m),), ())
+
+    @given(labellings(-1, 1), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_record_accepts_exactly_canonical_rows(self, labels, canonicalize):
+        # a row is canonical when each entry is the first position holding
+        # its value; labels.index canonicalizes any labelling
+        n = len(labels) - 1
+        row = tuple(labels.index(x) for x in labels) if canonicalize else tuple(labels)
+        canonical = row == tuple(row.index(x) for x in row)
+        try:
+            EncodingRecord(n, Parity.EVEN, (0b11,), (row,), ())
+        except EncodingError:
+            assert not canonical, row
+        else:
+            assert canonical, row
+
+    @given(labellings(0, 0))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_round_trip(self, labels):
+        # a random set partition of 0..n, from a random labelling: written
+        # as its blocks sorted, it parses back to its row and writes the
+        # same text again
+        n = len(labels) - 1
+        partition = {frozenset(e for e, y in enumerate(labels) if y == x) for x in labels}
+        row = tuple(labels.index(x) for x in labels)
+        text = dumps_record(EncodingRecord(n, Parity.EVEN, (0b11,), (row,), ()))
+        assert json.loads(text)["covers"] == [sorted(sorted(b) for b in partition)]
+        again = loads_record(text)
+        assert again.covers == (row,)
+        assert dumps_record(again) == text
 
     def test_decode_rejects_residual_outside_residue(self):
         d = stacked_even_delta_matroid(5, random_stacked_layers(5, 3))
