@@ -2,11 +2,11 @@
 
 Subcommands: check, count, construct, encode, decode, roundtrip, bound.
 Exit codes: 0 success/pass, 1 property violation, 2 usage, format or I/O
-error (a level cache that is not a complete level included), 3 resource
-limit.  Output is deterministic for a fixed invocation.  ``count`` is one
-call to levels.count_report, which refuses levels past 6 before any work
-and reads and writes the level caches only under --cache-dir, when it is
-given.
+error, 3 resource limit.  Output is deterministic for a fixed invocation.
+``count`` is one call to levels.count_report, which refuses levels past 6
+before any work and reads and writes the level caches only under
+--cache-dir, when it is given.  A file there is used only if it is byte for
+byte the file the package writes for that level; any other is rebuilt.
 """
 
 from __future__ import annotations
@@ -254,8 +254,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         UsageError,
         setsystem.SystemFormatError,
-        levels.CacheFormatError,
-        levels.CacheInvariantError,
         setsystem.ImproperSystemError,
         encoding.EncodingError,
         constructions.ConstructionError,

@@ -37,6 +37,9 @@ the ~5 M parents, so the kernel needs no per-parent minor arrays.
 
 Caches of whole levels are numpy arrays of feasibility vectors, sorted
 ascending, and can be persisted in a small binary format (see LevelCache).
+The levels are constants, so a file is trusted as a level only if it is
+byte for byte the file save writes for that level; any other file is
+rebuilt and overwritten.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import math
 import os
 import random
 import time
+import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -74,7 +78,8 @@ class ResourceLimitError(RuntimeError):
 
 
 class CacheFormatError(ValueError):
-    """Raised on malformed or corrupt level-cache files."""
+    """Raised on a file that is not the file LevelCache.save writes for its
+    level."""
 
 
 class CacheInvariantError(ValueError):
@@ -128,34 +133,32 @@ class LevelCache:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> LevelCache:
-        """Read a level file into one preallocated array, after checking
-        its header and its length against the record count."""
+        """Read a level file into one preallocated array.  A file is a level
+        only if it is byte for byte the file save writes for that level: its
+        length and CRC-32 are pinned (_LEVEL_FILES), and the length is
+        checked before anything is allocated."""
         with open(path, "rb") as fh:
             header = fh.read(14)
-            if len(header) < 14 or header[:4] != cls.MAGIC:
-                raise CacheFormatError(f"{path}: missing DMLC header")
-            version, n = header[4], header[5]
-            if version != cls.VERSION:
-                raise CacheFormatError(f"{path}: unsupported version {version}")
-            if n > MAX_LISTED_LEVEL:
-                raise CacheFormatError(f"{path}: unknown level {n}")
-            count = int.from_bytes(header[6:14], "little")
+            n = header[5] if len(header) == 14 else None
+            length, crc = _LEVEL_FILES.get(n, (None, None))
+            if os.fstat(fh.fileno()).st_size != length:
+                raise CacheFormatError(f"{path}: not a level file of the pinned length")
             dtype = _dtype_for(n)
-            expected = 14 + count * dtype.itemsize
-            size = os.fstat(fh.fileno()).st_size
-            if size != expected:
-                raise CacheFormatError(
-                    f"{path}: expected {expected} bytes for {count} records, got {size}"
-                )
-            vectors = np.empty(count, dtype=dtype)
-            if fh.readinto(vectors.view(np.uint8)) != vectors.nbytes or fh.read(1):
-                raise CacheFormatError(f"{path}: file changed while it was read")
-        cache = cls(n, vectors)
-        try:
-            cache.validate()
-        except CacheInvariantError as exc:
-            raise CacheFormatError(f"{path}: {exc}") from None
-        return cache
+            vectors = np.empty((length - 14) // dtype.itemsize, dtype=dtype)
+            fh.readinto(vectors.view(np.uint8))
+        if zlib.crc32(vectors, zlib.crc32(header)) != crc:
+            raise CacheFormatError(f"{path}: CRC-32 differs from the level-{n} file")
+        return cls(n, vectors)
+
+
+# (length, CRC-32) of the file LevelCache.save writes for each level
+_LEVEL_FILES = {
+    1: (17, 0x076FAD72),
+    2: (29, 0x52118DB4),
+    3: (169, 0x736C5D8C),
+    4: (11_932, 0xDFC663BD),
+    5: (19_921_050, 0x5CB99F28),
+}
 
 
 # --- the compose kernel ------------------------------------------------------
@@ -739,10 +742,10 @@ def build_levels(
 ) -> dict[int, LevelCache]:
     """Load or compute level caches 0..n_max, persisting computed ones.
 
-    Corrupt cache files are detected by header, length and invariant
-    checks and are recomputed rather than trusted.  Each level is logged at
-    INFO: loaded or built, with the seconds taken, and for a rejected file
-    the reason (which names the file).
+    A file is used only if it is the file save writes for its level (see
+    LevelCache.load); any other file is recomputed and overwritten.  Each
+    level is logged at INFO: loaded or built, with the seconds taken, and
+    for a rejected file the reason (which names the file).
     """
     if n_max > MAX_LISTED_LEVEL:
         raise ResourceLimitError(f"level lists stop at {MAX_LISTED_LEVEL}")

@@ -80,6 +80,7 @@ class SetSystem:
         and with repeats allowed.  The bits are set in one byte array of
         2^n/8 bytes and converted to an int once, so the cost is linear in
         the number of masks plus 2^n."""
+        cls(n, 0)  # refuses n outside 0..MAX_GROUND_SIZE before the array is allocated
         buf = bytearray(((1 << n) + 7) >> 3)
         for m in masks:
             if not 0 <= m < (1 << n):

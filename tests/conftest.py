@@ -8,6 +8,7 @@ decision procedure.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations, compress
@@ -24,6 +25,7 @@ from deltamatroid.levels import (
     _minor_indices,
     _symmetries,
     build_levels,
+    cache_path,
 )
 from deltamatroid.encoding import (
     EncodingError,
@@ -196,6 +198,25 @@ def antipodal_systems(n: int) -> list[SetSystem]:
     for f in range(1 << (n - 1)):
         out.append(SetSystem(n, (1 << f) | (1 << (f ^ full))))
     return out
+
+
+# --- level files ------------------------------------------------------------------
+
+# SHA-256 of each level file as LevelCache.save writes it
+LEVEL_FILE_SHA256 = {
+    1: "e1cadfab1a4ecffaba5f255edf78663127fb0551d24dd1aee0e34c3a54516931",
+    2: "78727c17110d835bb0252b6725793ab95e4fb75857222710efb7c9c566c3fa9e",
+    3: "b6b1629dd403e8f5b17c3fbb872046384dee21ba48f3264b8c2476c7b382ff01",
+    4: "a95942ec95b3e7b44bb9bed6cff95d96ac9b060f264803ab608dbb62a32ddb74",
+    5: "e92f3f8b9e9852276f04febdf5d75e73a2cb148db2dadfb614ca8fa097fa441b",
+}
+
+
+def assert_canonical_files(cache_dir, n_max: int) -> None:
+    """Levels 1..n_max under cache_dir are the bytes save writes."""
+    for n in range(1, n_max + 1):
+        with open(cache_path(cache_dir, n), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == LEVEL_FILE_SHA256[n], n
 
 
 # --- set-system operations only the tests use ---------------------------------

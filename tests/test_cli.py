@@ -24,7 +24,7 @@ from deltamatroid.setsystem import (
     loads_system,
 )
 from deltamatroid.levels import cache_path
-from tests.conftest import RECORD_TAMPERS, tamper_record
+from tests.conftest import RECORD_TAMPERS, assert_canonical_files, tamper_record
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -282,12 +282,14 @@ class TestCount:
         assert doc["levels"][-1]["d"] == 155
 
     def test_cache_that_is_not_a_complete_level(self, tmp_path, capsys):
-        # a flipped order-preserving bit leaves the level-4 file valid on
-        # its own, but one of its systems then has a deletion by the top
-        # element that level 4 does not list, and level 5 is built from it
+        # a flipped order-preserving bit used to leave the level-4 file
+        # loadable, with a top-element deletion that level 4 does not list;
+        # it is not the file save writes, so it is rebuilt
         cache_dir = str(tmp_path / "cache")
-        assert main(["--cache-dir", cache_dir, "count", "--max-n", "4"]) == 0
-        capsys.readouterr()
+        argv = ["--cache-dir", cache_dir, "count", "--max-n", "5"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        os.remove(cache_path(cache_dir, 5))
         path = cache_path(cache_dir, 4)
         with open(path, "rb") as fh:
             data = bytearray(fh.read())
@@ -296,25 +298,41 @@ class TestCount:
         data[offset] ^= 1
         with open(path, "wb") as fh:
             fh.write(data)
-        assert main(["--cache-dir", cache_dir, "count", "--max-n", "5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: a top-element deletion is not listed\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == clean
+        assert_canonical_files(cache_dir, 5)
 
     def test_cache_without_a_single_set_system(self, tmp_path, capsys):
-        # a level-4 file without the system {mask 5} is a valid file, but
-        # the antipodal pairs of level 5 are read off its single-set systems
+        # a level-4 file without the system {mask 5} used to load; the
+        # antipodal pairs of level 5 are read off its single-set systems
         cache_dir = str(tmp_path / "cache")
-        assert main(["--cache-dir", cache_dir, "count", "--max-n", "4"]) == 0
-        capsys.readouterr()
+        argv = ["--cache-dir", cache_dir, "count", "--max-n", "5", "--with-even"]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        os.remove(cache_path(cache_dir, 5))
         path = cache_path(cache_dir, 4)
         v = levels.LevelCache.load(path).vectors
         levels.LevelCache(4, v[v != 1 << 5]).save(path)
-        assert main(["--cache-dir", cache_dir, "count", "--max-n", "5", "--with-even"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: a single-set system is not listed\n"
-        assert not os.path.exists(cache_path(cache_dir, 5))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == clean
+        assert_canonical_files(cache_dir, 5)
+
+    @pytest.mark.parametrize("drop", [3, 1 << 5])
+    @pytest.mark.parametrize("n_max, d", [(4, 5959), (5, 4980259)])
+    def test_level_four_missing_a_system_heals(self, tmp_path, capsys, drop, n_max, d):
+        # with {mask 5} dropped, count --max-n 4 once printed d4 = 5 958; with
+        # vector 3 dropped, count --max-n 5 printed d5 = 4 980 026, exited 0
+        # and stored that short level 5
+        cache_dir = str(tmp_path / "cache")
+        argv = ["--cache-dir", cache_dir, "--format", "json", "count"]
+        assert main([*argv, "--max-n", "4"]) == 0
+        capsys.readouterr()
+        path = cache_path(cache_dir, 4)
+        v = levels.LevelCache.load(path).vectors
+        levels.LevelCache(4, v[v != drop]).save(path)
+        assert main([*argv, "--max-n", str(n_max)]) == 0
+        assert json.loads(capsys.readouterr().out)["levels"][-1]["d"] == d
+        assert_canonical_files(cache_dir, n_max)
 
     def test_verbose_logs_level_store_to_stderr_only(self, tmp_path, capsys):
         cache_dir = tmp_path / "flag-cache"

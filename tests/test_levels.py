@@ -9,6 +9,7 @@ import os
 import random
 import re
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -38,7 +39,9 @@ from deltamatroid.levels import (
     twist_permutation_classes,
 )
 from tests.conftest import (
+    LEVEL_FILE_SHA256,
     antipodal_systems,
+    assert_canonical_files,
     batch_is_delta_matroid,
     cache_systems,
     compose,
@@ -81,6 +84,17 @@ class TestEnumeration:
         with pytest.raises(CacheInvariantError):
             enumerate_level(LevelCache(4, v[v != 3]))
 
+    def test_damaged_level_four_refused_in_memory(self, levels5):
+        # the two damages a level file could once carry into the kernel: an
+        # order-keeping bit flip (v[3001] is 0x9EF9) and {mask 5} dropped
+        v = levels5[4].vectors.copy()
+        v[3001] ^= 1
+        with pytest.raises(CacheInvariantError, match="^a top-element deletion is not listed$"):
+            enumerate_level(LevelCache(4, v))
+        v = levels5[4].vectors
+        with pytest.raises(CacheInvariantError, match="^a single-set system is not listed$"):
+            enumerate_level(LevelCache(4, v[v != 1 << 5]))
+
     def test_listing_stops_at_level_five(self, levels5):
         with pytest.raises(ResourceLimitError):
             enumerate_level(levels5[5])
@@ -94,14 +108,7 @@ class TestLevelFive:
     """The whole-level compose that lists level 5, against the row-by-row
     listing of the same kernel and the pinned cache files."""
 
-    # SHA-256 of each level file as LevelCache.save writes it
-    CACHE_SHA256 = {
-        1: "e1cadfab1a4ecffaba5f255edf78663127fb0551d24dd1aee0e34c3a54516931",
-        2: "78727c17110d835bb0252b6725793ab95e4fb75857222710efb7c9c566c3fa9e",
-        3: "b6b1629dd403e8f5b17c3fbb872046384dee21ba48f3264b8c2476c7b382ff01",
-        4: "a95942ec95b3e7b44bb9bed6cff95d96ac9b060f264803ab608dbb62a32ddb74",
-        5: "e92f3f8b9e9852276f04febdf5d75e73a2cb148db2dadfb614ca8fa097fa441b",
-    }
+    CACHE_SHA256 = LEVEL_FILE_SHA256
 
     def test_matches_row_loop(self, levels5):
         whole = enumerate_level(levels5[4])
@@ -625,6 +632,10 @@ class TestAntipodal:
                 assert not is_delta_matroid(s)
 
 
+def flip_byte(data: bytes, offset: int, mask: int = 1) -> bytes:
+    return data[:offset] + bytes([data[offset] ^ mask]) + data[offset + 1:]
+
+
 class TestCacheFiles:
     def test_round_trip(self, levels5, tmp_path):
         for n in range(1, 5):
@@ -707,7 +718,7 @@ class TestCacheFiles:
             healed = build_levels(4, cache_dir=tmp_path)
         assert [r.getMessage() for r in caplog.records if "rejected" in r.getMessage()] == [
             f"level 1: cache file rejected, recomputing: {cache_path(tmp_path, 1)}:"
-            " unsupported version 2",
+            " CRC-32 differs from the level-1 file",
             f"level 4: cache file rejected, recomputing: {cache_path(tmp_path, 4)}:"
             " holds level 3",
         ]
@@ -715,6 +726,78 @@ class TestCacheFiles:
         assert len(healed[4]) == 5959
         assert LevelCache.load(cache_path(tmp_path, 1)).n == 1
         assert LevelCache.load(cache_path(tmp_path, 4)).n == 4
+
+    def test_level_files_pinned_by_length_and_crc(self, levels5, tmp_path):
+        path = tmp_path / "level.dmlc"
+        for n in range(1, 6):
+            levels5[n].save(path)
+            data = path.read_bytes()
+            assert levels._LEVEL_FILES[n] == (len(data), zlib.crc32(data)), n
+
+    def test_every_bit_flip_refused(self, levels5, tmp_path):
+        path = tmp_path / "level.dmlc"
+        flips = 0
+        for n in (1, 2, 3):
+            levels5[n].save(path)
+            data = path.read_bytes()
+            for bit in range(8 * len(data)):
+                bad = bytearray(data)
+                bad[bit >> 3] ^= 1 << (bit & 7)
+                path.write_bytes(bad)
+                with pytest.raises(CacheFormatError):
+                    LevelCache.load(path)
+                flips += 1
+        assert flips == 1720
+
+    def test_every_dropped_system_refused(self, levels5, tmp_path):
+        path = tmp_path / "level.dmlc"
+        drops = [(n, i) for n in (1, 2, 3) for i in range(len(levels5[n]))]
+        drops += [(4, i) for i in random.Random(0).sample(range(len(levels5[4])), 64)]
+        for n, i in drops:
+            LevelCache(n, np.delete(levels5[n].vectors, i)).save(path)
+            with pytest.raises(CacheFormatError, match="pinned length"):
+                LevelCache.load(path)
+        assert len(drops) == 3 + 15 + 155 + 64
+
+    def test_level_five_flipped_byte_refused(self, levels5, tmp_path):
+        path = tmp_path / "level-5.dmlc"
+        levels5[5].save(path)
+        path.write_bytes(flip_byte(path.read_bytes(), 9_960_000, 0x40))
+        with pytest.raises(CacheFormatError, match="CRC-32"):
+            LevelCache.load(path)
+
+    def test_bad_length_refused_before_allocation(self, levels5, tmp_path):
+        path = tmp_path / "level-5.dmlc"
+        levels5[5].save(path)
+        with open(path, "r+b") as fh:
+            fh.truncate(19_921_049)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CacheFormatError, match="pinned length"):
+                LevelCache.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_build_levels_heals_to_the_pinned_bytes(self, tmp_path):
+        build_levels(5, cache_dir=tmp_path)
+        damages = {
+            1: lambda data: b"garbage",
+            2: lambda data: flip_byte(data, 6),  # the record count
+            3: lambda data: data[:-1],
+            4: lambda data: flip_byte(data, 14 + 2 * 3001),  # keeps the order
+            5: lambda data: flip_byte(data, 9_960_000, 0x40),
+        }
+        for n, damage in damages.items():
+            path = cache_path(tmp_path, n)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(damage(data))
+        healed = build_levels(5, cache_dir=tmp_path)
+        assert [len(healed[n]) for n in range(1, 6)] == [EXPECTED_D[n] for n in range(1, 6)]
+        assert_canonical_files(tmp_path, 5)
 
     def test_build_logs_tables_and_fill(self, caplog):
         with caplog.at_level(logging.INFO, logger="deltamatroid.levels"):

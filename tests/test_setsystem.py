@@ -64,6 +64,12 @@ class TestSetSystem:
         with pytest.raises(ValueError):
             SetSystem.from_masks(2, [4])
 
+    @pytest.mark.parametrize("n", [-1, 64])
+    def test_from_masks_bounds_n_before_allocating(self, n):
+        # a 2^64-bit buffer would be 2^61 bytes: MemoryError if allocated
+        with pytest.raises(ValueError, match="ground-set size"):
+            SetSystem.from_masks(n, [])
+
     @staticmethod
     def or_loop(n, masks):
         """The feasibility int built one ``1 << m`` at a time, refusing the
