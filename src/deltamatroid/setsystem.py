@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -20,6 +22,8 @@ from typing import Callable, Iterable, Iterator, TypeVar
 import numpy as np
 
 MAX_GROUND_SIZE = 16
+
+logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -161,13 +165,23 @@ def _subcube_or(n: int, bits: int) -> bytes:
     return cube.to_bytes((width + 7) // 8, "little")
 
 
-@functools.lru_cache(maxsize=1)
-def _ternary(n: int) -> tuple[int, ...]:
-    """Mask m -> sum of bit_q(m) * 3^q, for every mask below 2^n."""
-    tern = [0]
-    for q in range(n):
-        tern += [t + 3 ** q for t in tern]
-    return tuple(tern)
+@functools.cache
+def _ternary(n: int) -> np.ndarray:
+    """Mask m -> sum of bit_q(m) * 3^q, for every mask below 2^n, as intp:
+    the masks with bit n - 1 set follow those without, 3^(n-1) higher."""
+    if n == 0:
+        return np.zeros(1, np.intp)
+    low = _ternary(n - 1)
+    return np.concatenate((low, low + 3 ** (n - 1)))
+
+
+# feasible sets X per array pass of the checker: it bounds the (X, p)
+# temporaries (16 per X at n = 16) and lets an early violation end the scan
+_X_CHUNK = 256
+_FLIPS = 1 << np.arange(MAX_GROUND_SIZE)
+# _BYTE_NEAR[v, j]: bits 0..2 of near[8b + j] when byte b of the
+# feasibility vector has the value v
+_BYTE_NEAR = sum((np.arange(256)[:, None] >> (np.arange(8) ^ 1 << q) & 1) << q for q in range(3))
 
 
 def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
@@ -182,44 +196,57 @@ def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
     partners are the q with X ^ {p, q} feasible, and (X, Y, p + 1)
     violates iff Y differs from X at p and agrees with X at every allowed
     partner.  So (X, p) violates for some Y iff one sub-cube of {0,1,*}^n
-    holds a feasible set, which one lookup into _subcube_or answers.  Y is
-    scanned only for the first X that has a violating p.
+    holds a feasible set, which one lookup into _subcube_or answers.  The
+    lookups run as array passes over ascending chunks of X; the first X
+    with a hit then gets its first (Y, e) in one pass over the feasible Y.
     """
     if not s.is_proper:
         raise ImproperSystemError("symmetric exchange is undefined for improper systems")
+    start = time.perf_counter()
     n, bits = s.n, s.bits
     full = (1 << n) - 1
-    feas = bit_positions(bits)
-    # near[m]: the positions q whose flip m ^ {q} is feasible
-    near = [0] * (1 << n)
-    for q in range(n):
-        flip = 1 << q
-        for m in feas:
-            near[m ^ flip] |= flip
-    cube, tern = _subcube_or(n, bits), _ternary(n)
-    for x in feas:
-        blocked = full & ~near[x]
-        rest = blocked
-        while rest:
-            flip = rest & -rest
-            rest ^= flip
-            # X is feasible, so p is in near[X ^ {p}]: fixed = partners + p
-            fixed = near[x ^ flip]
-            c = tern[(x ^ flip) & fixed] + 2 * tern[full ^ fixed]
-            if cube[c >> 3] >> (c & 7) & 1:
-                return _first_witness(feas, near, x, blocked)
-    return None
+    raw = np.frombuffer(bits.to_bytes(max(1 << n >> 3, 1), "little"), dtype=np.uint8)
+    f = np.unpackbits(raw, count=1 << n, bitorder="little").astype(np.intp)
+    feas = np.flatnonzero(f)
+    # near[m]: the positions q whose flip m ^ {q} is feasible; q < 3 from
+    # m's byte of the vector, each further q from one shifted view of f
+    # (axis 1 of the reshape is bit q)
+    near = _BYTE_NEAR[raw].reshape(-1)[: 1 << n]
+    for q in range(3, n):
+        near.reshape(-1, 2, 1 << q)[:, ::-1] |= f.reshape(-1, 2, 1 << q) << q
+    cube = np.frombuffer(_subcube_or(n, bits), dtype=np.uint8)
+    tern = _ternary(n)
+    flips = _FLIPS[:n]
+    lookups, witness = 0, None
+    for begin in range(0, feas.size, _X_CHUNK):
+        xs = feas[begin:begin + _X_CHUNK]
+        rows, ps = np.nonzero(near[xs, None] & flips == 0)  # blocked (X, p), ascending
+        xp = xs[rows] ^ flips[ps]
+        # X is feasible, so p is in near[X ^ {p}]: fixed = partners + p
+        fixed = near[xp]
+        c = tern[xp & fixed] + 2 * tern[full ^ fixed]
+        hit = cube[c >> 3] >> (c & 7) & 1
+        lookups += c.size
+        if hit.any():
+            witness = _first_witness(feas, near, xs[rows[hit.argmax()]], flips)
+            break
+    if logger.isEnabledFor(logging.INFO):
+        logger.info("exchange n=%d: %d sets, %d sub-cube lookups, %.3fs",
+                    n, feas.size, lookups, time.perf_counter() - start)
+    return witness
 
 
-def _first_witness(feas: list[int], near: list[int], x: int, blocked: int) -> ExchangeWitness:
-    """The first (Y, e) violating with X, for an X that has one."""
-    flips = [(1 << p, near[x ^ (1 << p)] & ~(1 << p)) for p in bit_positions(blocked)]
-    for y in feas:
-        d = x ^ y
-        for flip, allowed in flips:
-            if d & flip and not d & allowed:
-                return ExchangeWitness(x=x, y=y, e=flip.bit_length())
-    raise AssertionError("sub-cube transform and scan disagree")
+def _first_witness(feas: np.ndarray, near: np.ndarray, x: int, flips: np.ndarray) -> ExchangeWitness:
+    """The first (Y, e) violating with X, for an X that has one: Y differs
+    from X at a blocked p and agrees with it at every allowed partner of p,
+    that is, on near[X ^ {p}] it differs from X at p alone."""
+    blocked = flips[near[x] & flips == 0]
+    ok = (feas[:, None] ^ x) & near[x ^ blocked] == blocked
+    k = int(ok.argmax())  # row-major: the first Y, then its first e
+    if not ok.flat[k]:
+        raise AssertionError("sub-cube transform and scan disagree")
+    y, p = divmod(k, blocked.size)
+    return ExchangeWitness(x=int(x), y=int(feas[y]), e=int(blocked[p]).bit_length())
 
 
 def is_delta_matroid(s: SetSystem) -> bool:

@@ -34,7 +34,30 @@ def write_system(path, system: SetSystem) -> str:
     return str(path)
 
 
+CHECK_RECORD = r"deltamatroid\.setsystem: exchange n=\d+: \d+ sets, \d+ sub-cube lookups, \d+\.\d{3}s"
+
+
 class TestCheck:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verbose_logs_the_check_to_stderr_only(self, fmt, tmp_path, capsys):
+        # one record of the checker per check; stdout and the exit code do
+        # not change
+        valid = stacked_even_delta_matroid(9, random_stacked_layers(9, 0))
+        violating = SetSystem.from_sets(3, [[], [1, 2, 3]])
+        for system, code, lookups in ((valid, 0, 9 * valid.num_feasible), (violating, 1, 6)):
+            path = write_system(tmp_path / "s.json", system)
+            argv = ["--format", fmt, "check", path]
+            assert main(argv) == code
+            quiet = capsys.readouterr()
+            assert quiet.err == ""
+            assert main(["--verbose", *argv]) == code
+            verbose = capsys.readouterr()
+            assert verbose.out == quiet.out
+            [line] = verbose.err.splitlines()
+            assert re.fullmatch(CHECK_RECORD, line), line
+            # every X of an even system has all n positions blocked
+            assert f" n={system.n}: {system.num_feasible} sets, {lookups} sub-cube lookups, " in line
+
     def test_accepts_delta_matroid(self, tmp_path, capsys):
         path = write_system(tmp_path / "s.json", SetSystem.from_sets(3, [[], [1], [2]]))
         assert main(["check", path]) == 0
@@ -174,9 +197,15 @@ class TestCount:
         argv = ["--cache-dir", str(tmp_path / "cache"), "count", "--max-n", "6"]
         assert main(["--verbose", *argv]) == 0
         verbose = capsys.readouterr()
+        # one checker record per checker call of the cold builds of levels
+        # 1..4 (2, 5, 21 and 95 calls)
+        lines = verbose.err.splitlines()
+        checks = [line for line in lines if line.startswith("deltamatroid.setsystem: ")]
+        assert all(re.fullmatch(CHECK_RECORD, line) for line in checks), checks
+        assert [int(line.split()[2][2:-1]) for line in checks] == [1] * 2 + [2] * 5 + [3] * 21 + [4] * 95
         # the level-store records come first, each level's build after its
         # tables and fill, then the class count's
-        lines = verbose.err.splitlines()
+        lines = [line for line in lines if line not in checks]
         assert all(line.startswith("deltamatroid.levels: ") for line in lines), lines
         assert all(" tables " in line for line in lines[:10:2])
         assert all(" systems in " in line for line in lines[1:10:2])
@@ -347,6 +376,12 @@ class TestCount:
         verbose = capsys.readouterr()
         assert verbose.out == quiet.out
         lines = verbose.err.splitlines()
+        # the rebuild of level 3 makes 21 checker calls, one record each,
+        # between the rejection and the build's timings
+        checks = lines[3:24]
+        assert all(re.fullmatch(CHECK_RECORD, line) for line in checks), checks
+        assert all(" n=3: " in line for line in checks)
+        lines = lines[:3] + lines[24:]
         assert len(lines) == 7
         assert all(line.startswith("deltamatroid.levels: level ") for line in lines)
         assert f"level 3: cache file rejected, recomputing: {corrupt}: " in lines[2]

@@ -7,11 +7,13 @@ import random
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltamatroid import constructions
 from deltamatroid.setsystem import (
+    MAX_GROUND_SIZE,
     ExchangeWitness,
     ImproperSystemError,
     MinorKind,
@@ -28,6 +30,7 @@ from deltamatroid.setsystem import (
     rank_indicator,
     twist,
     _subcube_or,
+    _ternary,
 )
 from conftest import (
     compose,
@@ -166,6 +169,8 @@ class TestExchangeCheck:
             witness = check_symmetric_exchange(s)
             got = None if witness is None else (witness.x, witness.y, witness.e)
             assert got == oracle_first_witness(s.n, s.feasible_masks()), s
+        # every system on up to three elements, {∅} at n = 0 (no position
+        # to flip) and n = 1 (one position or none blocked) among them
         for n in range(4):
             for bits in range(1, 1 << (1 << n)):
                 agree(SetSystem(n, bits))
@@ -212,6 +217,42 @@ class TestExchangeCheck:
         assert witness == ExchangeWitness(x=955, y=4026, e=11)
         assert oracle_violates(high.feasible_masks(), witness.x, witness.y, witness.e)
 
+    def test_first_y_then_its_first_e(self):
+        # X = ∅ violates at e = 2 with Y = {1,2,3} and at e = 1 with the
+        # later Y = {1,2,4}: the witness takes the first Y, not the first e
+        masks = [0, 0b0101, 0b0111, 0b1011]
+        assert oracle_violates(masks, 0, 0b1011, 1)
+        for n in (4, 7, 9):
+            # the same sets inside a larger ground set, and summed with an
+            # even delta-matroid on the elements above 4
+            s = SetSystem.from_masks(n, masks)
+            assert check_symmetric_exchange(s) == ExchangeWitness(x=0, y=0b0111, e=2)
+            high = constructions.stacked_even_delta_matroid(
+                n - 4, constructions.random_stacked_layers(n - 4, n))
+            s = SetSystem.from_masks(n, (a | b << 4 for a in masks for b in high.feasible_masks()))
+            witness = check_symmetric_exchange(s)
+            assert (witness.x, witness.y, witness.e) == oracle_first_witness(n, s.feasible_masks())
+
+    def test_first_x_before_a_lower_e(self):
+        # planted odd sets make several X violate, at different positions:
+        # the first violating X is not the one with the lowest violating e
+        s = planted_system(7, seed=0, count=3)
+        violations = all_violations(s)
+        witness = check_symmetric_exchange(s)
+        assert (witness.x, witness.y, witness.e) == min(violations)
+        assert min(violations, key=lambda v: (v[2], v[0], v[1])) != min(violations)
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_witness_is_first_on_seven_to_nine_elements(self, n):
+        rng = random.Random(7000 + n)
+        systems = [planted_system(n, seed, count) for seed in range(3) for count in (1, 3)]
+        for density in (0.03, 0.1, 0.3, 0.7):
+            systems.append(SetSystem(n, sum(1 << m for m in range(1 << n) if rng.random() < density) or 1))
+        for s in systems:
+            witness = check_symmetric_exchange(s)
+            got = None if witness is None else (witness.x, witness.y, witness.e)
+            assert got == oracle_first_witness(n, s.feasible_masks()), s
+
     @given(small_systems)
     @settings(max_examples=150, deadline=None)
     def test_witness_is_genuine(self, s):
@@ -229,6 +270,59 @@ class TestExchangeCheck:
                 if (diff & flip_f) and s.has_mask(witness.x ^ (flip_e | flip_f)):
                     pytest.fail(f"witness has a valid exchange f={f}")
             assert not oracle_is_delta_matroid(s.n, masks)
+
+
+class TestExchangeAtSixteen:
+    """The largest ground set: the seed-0 stacked-even system passes and a
+    planted violation keeps the witness the loop checker returned."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return constructions.stacked_even_delta_matroid(
+            16, constructions.random_stacked_layers(16, 0))
+
+    def test_seed0_stacked_even_passes(self, base):
+        assert base.num_feasible == 31768
+        assert check_symmetric_exchange(base) is None
+
+    def test_planted_violation_witness_pinned(self, base):
+        # X = L ^ {e0} with L the middle infeasible even set and e0 = 6;
+        # the witness was pinned with the per-(X, p) loop checker
+        feasible = set(base.feasible_masks())
+        holes = [m for m in range(1 << 16) if m not in feasible and m.bit_count() % 2 == 0]
+        assert len(holes) == 1000
+        s = SetSystem(16, base.bits | 1 << (holes[500] ^ 1 << 5))
+        witness = check_symmetric_exchange(s)
+        assert witness == ExchangeWitness(x=32213, y=33, e=6)
+        assert oracle_violates(s.feasible_masks(), witness.x, witness.y, witness.e)
+
+
+def planted_system(n: int, seed: int, count: int) -> SetSystem:
+    """The seed's stacked-even system plus count odd sets L ^ {e0}, each
+    with L an infeasible even set: (L ^ {e0}, Y, e0 + 1) violates for every
+    feasible Y without e0, so the result is no delta-matroid."""
+    rng = random.Random(seed)
+    base = constructions.stacked_even_delta_matroid(n, constructions.random_stacked_layers(n, seed))
+    feasible = set(base.feasible_masks())
+    holes = [m for m in range(1 << n) if m not in feasible and m.bit_count() % 2 == 0]
+    bits = base.bits
+    for _ in range(count):
+        bits |= 1 << (rng.choice(holes) ^ 1 << rng.randrange(n))
+    return SetSystem(n, bits)
+
+
+def all_violations(s: SetSystem) -> list[tuple[int, int, int]]:
+    """Every violating (X, Y, e), from the definition over masks."""
+    masks = list(s.feasible_masks())
+    family = set(masks)
+    out = []
+    for x in masks:
+        for y in masks:
+            diff = elements_of(x ^ y)
+            for e in diff:
+                if not any(x ^ mask_of({e, f}) in family for f in diff):
+                    out.append((x, y, e))
+    return out
 
 
 def brute_subcube_or(n: int, bits: int) -> int:
@@ -249,6 +343,16 @@ class TestSubcubeTransform:
     @staticmethod
     def cells(n: int, bits: int) -> int:
         return int.from_bytes(_subcube_or(n, bits), "little") & ((1 << 3 ** n) - 1)
+
+    def test_ternary_tables_cached_for_every_ground_size(self):
+        tables = [_ternary(n) for n in range(MAX_GROUND_SIZE + 1)]
+        for n, table in enumerate(tables):
+            assert table.dtype == np.intp and table.shape == (1 << n,)
+            assert _ternary(n) is table
+            assert (table == tables[-1][: 1 << n]).all()
+        assert tables[5].tolist() == [
+            sum(3 ** q for q in range(5) if m >> q & 1) for m in range(32)
+        ]
 
     def test_every_system_up_to_three_elements(self):
         for n in range(4):
