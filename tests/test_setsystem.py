@@ -300,7 +300,8 @@ class TestExchangeAtSixteen:
 def planted_system(n: int, seed: int, count: int) -> SetSystem:
     """The seed's stacked-even system plus count odd sets L ^ {e0}, each
     with L an infeasible even set: (L ^ {e0}, Y, e0 + 1) violates for every
-    feasible Y without e0, so the result is no delta-matroid."""
+    feasible Y that differs from L ^ {e0} at e0, so the result is no
+    delta-matroid."""
     rng = random.Random(seed)
     base = constructions.stacked_even_delta_matroid(n, constructions.random_stacked_layers(n, seed))
     feasible = set(base.feasible_masks())
