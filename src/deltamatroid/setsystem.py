@@ -131,38 +131,36 @@ class ExchangeWitness:
     e: int
 
 
-def _merge_halves(cells: list[int], width: int) -> tuple[int, int]:
-    """Pair up consecutive transforms of ``width`` cells each, as the 0 and
-    1 halves along their next element, until one is left; returns it and
-    its width.  Along each element the * cell is the OR of the 0 and 1
-    cells."""
-    while len(cells) > 1:
-        cells = [a | b << width | (a | b) << 2 * width for a, b in zip(cells[::2], cells[1::2])]
-        width *= 3
-    return cells[0], width
+def _ternary_or(a: np.ndarray, count: int) -> np.ndarray:
+    """Extend an OR-transform along count more elements, one at a time:
+    each block of 2·3^j entries, the element's 0 and 1 halves, becomes
+    3·3^j, its 0, 1 and 0|1 slices (digits 0, 1 and * = 2)."""
+    for j in range(count):
+        w = a.reshape(-1, 2, 3 ** j)
+        a = np.concatenate((w, w[:, :1] | w[:, 1:]), axis=1)
+    return a.ravel()
 
 
 @functools.cache
-def _byte_cubes() -> tuple[int, ...]:
-    """_subcube_or of every system on three elements, as ints indexed by
-    the system's feasibility byte."""
-    return tuple(_merge_halves([b >> m & 1 for m in range(8)], 1)[0] for b in range(256))
+def _byte_cubes() -> np.ndarray:
+    """The transform of every system on three elements as one uint32 word
+    of 27 cells, indexed by the system's feasibility byte."""
+    cells = _ternary_or(np.unpackbits(np.arange(256, dtype=np.uint8), bitorder="little"), 3)
+    cells = cells.reshape(256, 27).astype(np.uint32) << np.arange(27, dtype=np.uint32)
+    return cells.sum(axis=1, dtype=np.uint32)
 
 
-def _subcube_or(n: int, bits: int) -> bytes:
-    """Ternary OR-transform of a feasibility vector over {0,1,*}^n.
+def _subcube_or(n: int, raw: np.ndarray) -> np.ndarray:
+    """Ternary OR-transform of the feasibility bytes raw over {0,1,*}^n.
 
     Cell c = sum of c_q * 3^q, with digit c_q in {0, 1, 2 = *}, is the
     sub-cube of the masks whose bit q is c_q wherever c_q < 2.  For every
-    c < 3^n, bit c of the result (little-endian) is set iff some feasible
-    mask lies in sub-cube c.  The transform is built bottom-up from a table
-    of three-element ones, with no mask tables: the largest values held
-    are the 3^n-bit result and its bytes (5.4 MB each at n = 16).
+    c < 3^n, bit c % 27 of word c // 27 is set iff some feasible mask lies
+    in sub-cube c.  The words start as the three-element transforms of the
+    bytes and are extended one element at a time: 3^(n-3) uint32 words,
+    6.4 MB at n = 16.
     """
-    table = _byte_cubes()
-    cells = [table[b] for b in bits.to_bytes(max(1 << n >> 3, 1), "little")]
-    cube, width = _merge_halves(cells, 27)
-    return cube.to_bytes((width + 7) // 8, "little")
+    return _ternary_or(_byte_cubes()[raw], n - 3)
 
 
 @functools.cache
@@ -175,13 +173,12 @@ def _ternary(n: int) -> np.ndarray:
     return np.concatenate((low, low + 3 ** (n - 1)))
 
 
-# feasible sets X per array pass of the checker: it bounds the (X, p)
-# temporaries (16 per X at n = 16) and lets an early violation end the scan
-_X_CHUNK = 256
 _FLIPS = 1 << np.arange(MAX_GROUND_SIZE)
 # _BYTE_NEAR[v, j]: bits 0..2 of near[8b + j] when byte b of the
 # feasibility vector has the value v
-_BYTE_NEAR = sum((np.arange(256)[:, None] >> (np.arange(8) ^ 1 << q) & 1) << q for q in range(3))
+_BYTE_NEAR = sum(
+    (np.arange(256)[:, None] >> (np.arange(8) ^ 1 << q) & 1) << q for q in range(3)
+).astype(np.uint16)
 
 
 def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
@@ -191,48 +188,39 @@ def check_symmetric_exchange(s: SetSystem) -> ExchangeWitness | None:
     violating triple in ascending (X, Y, e) order, which makes witnesses
     reproducible across runs.
 
-    Only positions p whose single flip X ^ {p} is infeasible can violate:
-    otherwise p itself is an allowed partner.  For such a p, the allowed
-    partners are the q with X ^ {p, q} feasible, and (X, Y, p + 1)
-    violates iff Y differs from X at p and agrees with X at every allowed
-    partner.  So (X, p) violates for some Y iff one sub-cube of {0,1,*}^n
-    holds a feasible set, which one lookup into _subcube_or answers.  The
-    lookups run as array passes over ascending chunks of X; the first X
-    with a hit then gets its first (Y, e) in one pass over the feasible Y.
+    Only positions p whose single flip m = X ^ {p} is infeasible can
+    violate: otherwise p itself is an allowed partner.  For such a p, the
+    allowed partners are the q with m ^ {q} feasible, and (X, Y, p + 1)
+    violates iff Y agrees with m at every position in near[m], the
+    feasible single flips of m (p among them, since X is feasible).  That
+    depends on m alone: one sub-cube of {0,1,*}^n, one cell of
+    _subcube_or, for each infeasible m next to a feasible set.  Every
+    feasible X next to a hit violates, so the least of them is the
+    witness's X, and one pass over the feasible Y gives its (Y, e).
     """
     if not s.is_proper:
         raise ImproperSystemError("symmetric exchange is undefined for improper systems")
     start = time.perf_counter()
     n, bits = s.n, s.bits
-    full = (1 << n) - 1
     raw = np.frombuffer(bits.to_bytes(max(1 << n >> 3, 1), "little"), dtype=np.uint8)
-    f = np.unpackbits(raw, count=1 << n, bitorder="little").astype(np.intp)
-    feas = np.flatnonzero(f)
+    f = np.unpackbits(raw, count=1 << n, bitorder="little").astype(np.uint16)
     # near[m]: the positions q whose flip m ^ {q} is feasible; q < 3 from
     # m's byte of the vector, each further q from one shifted view of f
     # (axis 1 of the reshape is bit q)
     near = _BYTE_NEAR[raw].reshape(-1)[: 1 << n]
     for q in range(3, n):
         near.reshape(-1, 2, 1 << q)[:, ::-1] |= f.reshape(-1, 2, 1 << q) << q
-    cube = np.frombuffer(_subcube_or(n, bits), dtype=np.uint8)
-    tern = _ternary(n)
-    flips = _FLIPS[:n]
-    lookups, witness = 0, None
-    for begin in range(0, feas.size, _X_CHUNK):
-        xs = feas[begin:begin + _X_CHUNK]
-        rows, ps = np.nonzero(near[xs, None] & flips == 0)  # blocked (X, p), ascending
-        xp = xs[rows] ^ flips[ps]
-        # X is feasible, so p is in near[X ^ {p}]: fixed = partners + p
-        fixed = near[xp]
-        c = tern[xp & fixed] + 2 * tern[full ^ fixed]
-        hit = cube[c >> 3] >> (c & 7) & 1
-        lookups += c.size
-        if hit.any():
-            witness = _first_witness(feas, near, xs[rows[hit.argmax()]], flips)
-            break
+    ms = np.flatnonzero((f == 0) & (near != 0))
+    fixed, tern = near[ms], _ternary(n)
+    c = tern[ms & fixed] + 2 * tern[((1 << n) - 1) ^ fixed]
+    hits = ms[_subcube_or(n, raw)[c // 27] >> c % 27 & 1 != 0]
+    witness, flips = None, _FLIPS[:n]
+    if hits.size:
+        x = (hits[:, None] ^ flips)[near[hits, None] & flips != 0].min()
+        witness = _first_witness(np.flatnonzero(f), near, x, flips)
     if logger.isEnabledFor(logging.INFO):
-        logger.info("exchange n=%d: %d sets, %d sub-cube lookups, %.3fs",
-                    n, feas.size, lookups, time.perf_counter() - start)
+        logger.info("exchange n=%d: %d sets, %d cells, %.3fs",
+                    n, s.num_feasible, ms.size, time.perf_counter() - start)
     return witness
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -242,7 +244,12 @@ class TestExchangeCheck:
         assert (witness.x, witness.y, witness.e) == min(violations)
         assert min(violations, key=lambda v: (v[2], v[0], v[1])) != min(violations)
 
-    @pytest.mark.parametrize("n", [7, 8, 9])
+    @pytest.mark.parametrize("n", [7, 8, 9, *(
+        pytest.param(n, marks=pytest.mark.skipif(
+            not os.environ.get("DM_SLOW_TESTS"),
+            reason="set-based first-witness scans at n = 10..12 (about 40 s together); set DM_SLOW_TESTS=1",
+        )) for n in (10, 11, 12)
+    )])
     def test_witness_is_first_on_seven_to_nine_elements(self, n):
         rng = random.Random(7000 + n)
         systems = [planted_system(n, seed, count) for seed in range(3) for count in (1, 3)]
@@ -284,6 +291,18 @@ class TestExchangeAtSixteen:
     def test_seed0_stacked_even_passes(self, base):
         assert base.num_feasible == 31768
         assert check_symmetric_exchange(base) is None
+
+    def test_traced_peak_bounded(self, base):
+        # the 3^13 transform words (6.4 MB) and one extension step's input
+        # and output are most of it; the cached tables are warmed first
+        check_symmetric_exchange(base)
+        tracemalloc.start()
+        try:
+            assert check_symmetric_exchange(base) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
 
     def test_planted_violation_witness_pinned(self, base):
         # X = L ^ {e0} with L the middle infeasible even set and e0 = 6;
@@ -343,7 +362,12 @@ def brute_subcube_or(n: int, bits: int) -> int:
 class TestSubcubeTransform:
     @staticmethod
     def cells(n: int, bits: int) -> int:
-        return int.from_bytes(_subcube_or(n, bits), "little") & ((1 << 3 ** n) - 1)
+        """The transform's cells as one int: cell c is bit c % 27 of word
+        c // 27."""
+        raw = np.frombuffer(bits.to_bytes(max(1 << n >> 3, 1), "little"), dtype=np.uint8)
+        words = _subcube_or(n, raw)
+        assert words.dtype == np.uint32 and words.shape == (max(3 ** n // 27, 1),)
+        return sum((int(words[c // 27]) >> c % 27 & 1) << c for c in range(3 ** n))
 
     def test_ternary_tables_cached_for_every_ground_size(self):
         tables = [_ternary(n) for n in range(MAX_GROUND_SIZE + 1)]
@@ -356,6 +380,7 @@ class TestSubcubeTransform:
         ]
 
     def test_every_system_up_to_three_elements(self):
+        # n = 3 reads each of the 256 three-element words as it is
         for n in range(4):
             for bits in range(1 << (1 << n)):
                 assert self.cells(n, bits) == brute_subcube_or(n, bits), (n, bits)
