@@ -8,17 +8,9 @@ and compresses even families with container-style encodings that yield
 matching upper bounds.
 """
 
-# Only the names that the README and the scripts use; everything else is
-# imported from its submodule.
-from .setsystem import SetSystem, check_symmetric_exchange, is_delta_matroid, is_even
+# Only the names that the README's library example uses; everything else
+# is imported from its submodule.
+from .setsystem import SetSystem, check_symmetric_exchange
 from .levels import build_levels
-from .constructions import (
-    complement_delta_matroid,
-    cut_count_lower_bound,
-    random_stable_set,
-    random_stacked_layers,
-    sample_cut_construction,
-    stacked_even_delta_matroid,
-)
 
 __version__ = "0.1.0"

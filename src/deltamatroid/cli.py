@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 
 from . import constructions, encoding, levels, setsystem
@@ -175,6 +176,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "sigma_prime": str(report.sigma_prime),
         "bell_bound": report.bell_bound,
         "log_e_n_bound": report.log_e_n_bound,
+        # the paper's lower bounds on log2 d_n and log2 e_n
+        "log_d_n_lower": math.log2(constructions.cut_count_lower_bound(args.n)),
+        "log_e_n_lower": 2 ** constructions.even_lower_bound(args.n),
     }
     _report(args, doc, [f"{k}: {v}" for k, v in doc.items()])
     return EXIT_PASS
@@ -226,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_path", required=True)
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("bound", help="even-count upper bound ingredients")
+    p = sub.add_parser("bound", help="lower bounds on d_n and e_n, upper bound on e_n")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_bound)
 

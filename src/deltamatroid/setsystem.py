@@ -137,7 +137,9 @@ def _ternary_or(a: np.ndarray, count: int) -> np.ndarray:
     3·3^j, its 0, 1 and 0|1 slices (digits 0, 1 and * = 2)."""
     for j in range(count):
         w = a.reshape(-1, 2, 3 ** j)
-        a = np.concatenate((w, w[:, :1] | w[:, 1:]), axis=1)
+        a = np.empty((len(w), 3, 3 ** j), w.dtype)
+        a[:, :2] = w
+        np.bitwise_or(w[:, 0], w[:, 1], out=a[:, 2])
     return a.ravel()
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -545,6 +546,23 @@ class TestSpectrumAndBound:
         assert doc["alpha"] == "1/4"
         assert doc["bell_bound"] == 52
         assert doc["log_e_n_bound"] > 0
+        assert doc["log_d_n_lower"] == 9.451211111832329
+        assert doc["log_e_n_lower"] == 2.0
+
+    def test_bounds_bracket_known_counts(self, capsys):
+        d = {3: 155, 4: 5959, 5: 4980259, 6: 2746801811279}
+        e = {3: 30, 4: 294, 5: 7966}
+        for n, d_n in d.items():
+            assert main(["--format", "json", "bound", "--n", str(n)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["log_d_n_lower"] <= math.log2(d_n)
+            if n in e:
+                assert doc["log_e_n_lower"] <= math.log2(e[n]) <= doc["log_e_n_bound"]
+
+    def test_cut_bound_at_fifteen(self, capsys):
+        # the cut bound at n = 15 lies in [2^16387, 2^16388)
+        assert main(["--format", "json", "bound", "--n", "15"]) == 0
+        assert math.floor(json.loads(capsys.readouterr().out)["log_d_n_lower"]) == 16387
 
     def test_bound_rejects_tiny(self, capsys):
         assert main(["bound", "--n", "2"]) == 2
@@ -623,10 +641,18 @@ class TestPinnedOutput:
 
     def test_bound_text_pinned(self, capsys):
         digest = hashlib.sha256()
+        # the upper-bound report's six lines alone, so that a change to them
+        # shows apart from the two lower-bound lines that follow
+        upper = hashlib.sha256()
         for n in range(3, 17):
             assert main(["bound", "--n", str(n)]) == 0
-            digest.update(capsys.readouterr().out.encode())
+            out = capsys.readouterr().out
+            digest.update(out.encode())
+            upper.update("".join(out.splitlines(keepends=True)[:6]).encode())
         assert digest.hexdigest() == (
+            "fdac5ceac0d871bc0221b7a308c1710fd5e7405da3b3907fed2024f080a5c97a"
+        )
+        assert upper.hexdigest() == (
             "77028810dbdf3b840d9185e914f8a033dd6c769def221d66203f1bba59692481"
         )
         assert main(["bound", "--n", "3"]) == 0
@@ -637,7 +663,12 @@ class TestPinnedOutput:
             "sigma_prime: 3/4\n"
             "bell_bound: 15\n"
             "log_e_n_bound: 33.49149345455791\n"
+            "log_d_n_lower: 4.392317422778761\n"
+            "log_e_n_lower: 1.3333333333333335\n"
         )
+        assert main(["bound", "--n", "16"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "log_d_n_lower: 32772.0", "log_e_n_lower: 2048.0"]
 
     # the only command that prints e_n, over every listed level
     @pytest.mark.parametrize("fmt, digest", [

@@ -1,47 +1,12 @@
-"""Smoke tests for the research script that ships with the package."""
+"""Tests for scripts/code_lines.py, the code-line counter."""
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def run_sweep(*args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "construction_sweep.py"), *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        timeout=120,
-    )
-
-
-def test_construction_sweep_runs():
-    result = run_sweep("--samples", "5", "--max-n", "4")
-    assert result.returncode == 0, result.stderr
-
-
-def test_construction_sweep_prints_large_bounds_as_powers_of_two():
-    result = run_sweep("--samples", "1", "--max-n", "15")
-    assert result.returncode == 0, result.stderr
-    assert "2^16387" in result.stdout
-    assert "2746801811279" in result.stdout
-
-
-@pytest.mark.parametrize("args", [("--max-n", "17"), ("--max-n", "1"), ("--samples", "0")])
-def test_construction_sweep_refuses_bad_arguments(args):
-    result = run_sweep(*args)
-    assert result.returncode == 2
-    assert "error:" in result.stderr
-    assert "Traceback" not in result.stderr
-    assert result.stdout == ""
-
 
 CODE_LINES_SAMPLE = '''"""Module docstring."""
 

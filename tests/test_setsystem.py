@@ -302,7 +302,7 @@ class TestExchangeAtSixteen:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 << 20
+        assert peak <= 12 << 20
 
     def test_planted_violation_witness_pinned(self, base):
         # X = L ^ {e0} with L the middle infeasible even set and e0 = 6;
